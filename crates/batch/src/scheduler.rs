@@ -19,7 +19,10 @@
 //! the policy's `max_batch` and the transport frame budget), while singles
 //! (`put`/`get`) pass through the concurrent operation table
 //! (`crate::table`), where the policy's `max_linger` lets concurrent
-//! callers coalesce.
+//! callers coalesce. Either way a flush's rounds run as one batch of raw
+//! register ops on the wrapped client's op engine
+//! ([`KvClient::raw_reads`], [`KvClient::raw_writes`]), all in flight at
+//! once from the calling thread.
 //!
 //! # Why per-key certification still holds
 //!
@@ -50,11 +53,12 @@
 //! batched run that completes is certified by the same checker, against
 //! the same criterion, as its unbatched equivalent.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, Sender};
 use rmem_kv::{codec, KvClient, KvError, ShardMap};
 use rmem_obs::{Counter, Histogram};
 use rmem_types::{RegisterId, Value};
@@ -177,8 +181,9 @@ impl BatchedKv {
 
     /// Whether `key` currently sits behind the migration write barrier
     /// (its source shard is splitting): such operations bypass the
-    /// batching table and go through the epoch-aware `KvClient` paths,
-    /// which run the barrier / old-home-then-new-home protocol per key.
+    /// batching table and the bundles, and go through the epoch-aware
+    /// `KvClient` paths, which run the barrier / old-home-then-new-home
+    /// protocol per key.
     fn is_barriered(&self, map: &ShardMap, key: &str) -> bool {
         map.is_migrating() && map.is_split_source(map.old_shard_of(key))
     }
@@ -237,34 +242,14 @@ impl BatchedKv {
     pub fn put(&self, key: &str, value: impl Into<Bytes>) -> Result<(), KvError> {
         let value = value.into();
         self.check_put(key, value.len())?;
-        self.shared.kv.sync_map()?;
-        let map = self.shared.kv.shard_map();
-        self.roll_epoch(&map);
-        if self.is_barriered(&map, key) {
-            // Splitting shard: the write barrier is per key — run it on
-            // the epoch-aware single-op path instead of a shared bundle.
-            self.shared.logical_ops.inc();
-            self.shared.register_ops.inc();
-            return self.shared.kv.put(key, value);
-        }
-        let bucket = self.bucket_of(&map, key);
-        let (tx, rx) = bounded(1);
-        let queued = QueuedPut {
-            key: key.to_string(),
-            value,
-            done: tx,
-        };
-        let role = self
-            .shared
-            .table
-            .enqueue_put(bucket, queued, &self.shared.policy);
-        if role == Enqueued::Leader {
-            self.lead_flush(bucket);
-        }
-        rx.recv().unwrap_or(Err(KvError::Register {
-            key: key.to_string(),
-            source: rmem_net::ClientError::ProcessDown,
-        }))
+        self.single(
+            key,
+            |kv| kv.put(key, value.clone()),
+            |table, bucket, done| {
+                let (key, value) = (key.to_string(), value.clone());
+                table.enqueue_put(bucket, QueuedPut { key, value, done }, &self.shared.policy)
+            },
+        )
     }
 
     /// Reads `key`, riding a shared per-shard batch (see
@@ -284,27 +269,38 @@ impl BatchedKv {
             "key longer than {} bytes",
             codec::MAX_KEY_LEN
         );
+        self.single(
+            key,
+            |kv| kv.get(key),
+            |table, bucket, done| {
+                let key = key.to_string();
+                table.enqueue_get(bucket, QueuedGet { key, done }, &self.shared.policy)
+            },
+        )
+    }
+
+    /// One single-key operation: enqueued on its bucket (leading the
+    /// flush if it arrives first) and answered through `done`. A key
+    /// behind the migration write barrier bypasses the shared bundle —
+    /// the barrier and the old-home-then-new-home read fallback are per
+    /// key — and runs on the epoch-aware `KvClient` path instead.
+    fn single<T>(
+        &self,
+        key: &str,
+        per_key: impl FnOnce(&KvClient) -> Result<T, KvError>,
+        enqueue: impl FnOnce(&OpTable, usize, Sender<Result<T, KvError>>) -> Enqueued,
+    ) -> Result<T, KvError> {
         self.shared.kv.sync_map()?;
         let map = self.shared.kv.shard_map();
         self.roll_epoch(&map);
         if self.is_barriered(&map, key) {
-            // Splitting shard: reads need the old-home-then-new-home
-            // fallback, which is per key — bypass the shared bundle.
             self.shared.logical_ops.inc();
             self.shared.register_ops.inc();
-            return self.shared.kv.get(key);
+            return per_key(&self.shared.kv);
         }
         let bucket = self.bucket_of(&map, key);
         let (tx, rx) = bounded(1);
-        let queued = QueuedGet {
-            key: key.to_string(),
-            done: tx,
-        };
-        let role = self
-            .shared
-            .table
-            .enqueue_get(bucket, queued, &self.shared.policy);
-        if role == Enqueued::Leader {
+        if enqueue(&self.shared.table, bucket, tx) == Enqueued::Leader {
             self.lead_flush(bucket);
         }
         rx.recv().unwrap_or(Err(KvError::Register {
@@ -354,74 +350,13 @@ impl BatchedKv {
         // land after — any order is legal (everything in one flush is
         // concurrent), this one keeps reads one round behind writes at
         // most.
-        let mut get_groups: std::collections::BTreeMap<RegisterId, Vec<QueuedGet>> =
-            std::collections::BTreeMap::new();
-        for get in gets {
-            if self.is_barriered(&map, &get.key) {
-                // The epoch moved between enqueue and flush: serve the
-                // now-barriered key through the per-key migration path.
-                let reply = self.shared.kv.get(&get.key);
-                self.shared.logical_ops.inc();
-                self.shared.register_ops.inc();
-                let _ = get.done.send(reply);
-                continue;
-            }
-            get_groups
-                .entry(map.register_for(&get.key))
-                .or_default()
-                .push(get);
+        let keys: Vec<&str> = gets.iter().map(|get| get.key.as_str()).collect();
+        for (get, reply) in gets.iter().zip(self.read_keys(&keys, &map)) {
+            let _ = get.done.send(reply);
         }
-        for (reg, group) in get_groups {
-            let outcome = self.read_round(reg);
-            self.shared.logical_ops.add(group.len() as u64 - 1);
-            for get in group {
-                let reply = match &outcome {
-                    Ok(payload) => {
-                        let value = codec::value_for_key(payload, &get.key);
-                        if value.is_none()
-                            && !payload.is_bottom()
-                            && codec::payload_epoch(payload) != Some(map.stamp())
-                        {
-                            // Key absent under a foreign stamp: our map
-                            // may be stale (a split moved the key). The
-                            // per-key path refreshes and re-routes —
-                            // mirroring `KvClient::get`'s classification.
-                            self.shared.kv.get(&get.key)
-                        } else {
-                            Ok(value)
-                        }
-                    }
-                    Err(e) => Err(e.clone()),
-                };
-                let _ = get.done.send(reply);
-            }
-        }
-        let mut put_groups: std::collections::BTreeMap<RegisterId, Vec<QueuedPut>> =
-            std::collections::BTreeMap::new();
-        for put in puts {
-            if self.is_barriered(&map, &put.key) {
-                let reply = self.shared.kv.put(&put.key, put.value.clone());
-                self.shared.logical_ops.inc();
-                self.shared.register_ops.inc();
-                let _ = put.done.send(reply);
-                continue;
-            }
-            put_groups
-                .entry(map.register_for(&put.key))
-                .or_default()
-                .push(put);
-        }
-        for (reg, group) in put_groups {
-            let coalesced = coalesce(group);
-            for chunk in self.chunks(&coalesced) {
-                let outcome = self.write_round(reg, chunk, &map);
-                for entry in chunk {
-                    for done in &entry.waiters {
-                        let _ = done.send(outcome.clone());
-                    }
-                }
-            }
-        }
+        let puts = puts.into_iter().map(|p| (p.key, p.value, Some(p.done)));
+        // Every queued put hears its own outcome through its waiter.
+        let _ = self.write_puts(puts.collect(), &map);
     }
 
     // -- One-shot batches: multi-key operations --------------------------
@@ -429,8 +364,9 @@ impl BatchedKv {
     /// Writes many entries, **one quorum round per shard chunk**: the
     /// entries landing on one shard coalesce (last write per key wins,
     /// in input order) into composite payloads, chunked by the policy's
-    /// `max_batch` and the transport frame budget; per-node groups run
-    /// concurrently, as in [`KvClient::multi_put`].
+    /// `max_batch` and the transport frame budget; every chunk is one op
+    /// of the client's engine, all of them in flight at once, as in
+    /// [`KvClient::multi_put`].
     ///
     /// # Errors
     ///
@@ -440,77 +376,21 @@ impl BatchedKv {
         self.shared.kv.sync_map()?;
         let map = self.shared.kv.shard_map();
         self.roll_epoch(&map);
-        // Coalesce into per-register entry lists (order: first appearance
-        // of each register / key, values last-wins). The index keeps the
-        // pass linear under skew — a hot shard can absorb most of a large
-        // batch. Keys behind the migration write barrier take the
-        // per-key path instead (the barrier is per source shard).
-        let mut per_reg: std::collections::BTreeMap<u16, Vec<CoalescedPut>> =
-            std::collections::BTreeMap::new();
-        let mut index: std::collections::HashMap<(u16, &str), usize> =
-            std::collections::HashMap::new();
-        let mut barriered: Vec<(&str, Bytes)> = Vec::new();
-        for (key, value) in entries {
-            let key = key.as_ref();
-            if self.is_barriered(&map, key) {
-                barriered.push((key, value.clone()));
-                continue;
-            }
-            let reg = map.register_for(key);
-            let list = per_reg.entry(reg.0).or_default();
-            match index.get(&(reg.0, key)) {
-                Some(&i) => {
-                    list[i].value = value.clone();
-                    list[i].covered += 1;
-                }
-                None => {
-                    index.insert((reg.0, key), list.len());
-                    list.push(CoalescedPut {
-                        key: key.to_string(),
-                        value: value.clone(),
-                        covered: 1,
-                        waiters: Vec::new(),
-                    });
-                }
-            }
-        }
-        let outcomes: Vec<Result<(), KvError>> = self.per_node(per_reg, |reg, list| {
-            for chunk in self.chunks(&list) {
-                self.write_round(reg, chunk, &map)?;
-            }
-            Ok(())
-        });
-        // Barriered keys go through the per-key path; errors are
-        // deferred so every batch and every barriered key still runs
-        // (the contract: first failing error, everything attempted).
-        let mut first_err = None;
-        for (key, value) in barriered {
-            self.shared.logical_ops.inc();
-            self.shared.register_ops.inc();
-            if let Err(e) = self.shared.kv.put(key, value) {
-                first_err.get_or_insert(e);
-            }
-        }
-        for outcome in outcomes {
-            if let Err(e) = outcome {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let puts = entries
+            .iter()
+            .map(|(k, v)| (k.as_ref().to_string(), v.clone(), None));
+        self.write_puts(puts.collect(), &map)
     }
 
     /// Reads many keys, **one quorum round per shard**: every key landing
-    /// on one shard is served from a single `Read` round's payload;
-    /// per-node groups run concurrently. Results align with the input
-    /// order.
+    /// on one shard is served from a single `Read` round's payload; the
+    /// rounds run concurrently on the client's engine. Results align
+    /// with the input order.
     ///
     /// # Errors
     ///
-    /// Returns the first failing shard's [`KvError`]; other shards still
-    /// ran to completion.
+    /// Returns the first failing key's [`KvError`]; every shard's round
+    /// still ran to completion.
     pub fn multi_get<K: AsRef<str> + Sync>(
         &self,
         keys: &[K],
@@ -518,163 +398,151 @@ impl BatchedKv {
         self.shared.kv.sync_map()?;
         let map = self.shared.kv.shard_map();
         self.roll_epoch(&map);
-        let mut per_reg: std::collections::BTreeMap<u16, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        let mut barriered: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if self.is_barriered(&map, key.as_ref()) {
-                barriered.push(i);
-                continue;
-            }
-            let reg = map.register_for(key.as_ref());
-            per_reg.entry(reg.0).or_default().push(i);
-        }
-        let mut results: Vec<Option<Option<Bytes>>> = vec![None; keys.len()];
-        type Served = Vec<(usize, Option<Bytes>)>;
-        let outcomes: Vec<Result<Served, KvError>> = self.per_node(per_reg, |reg, indices| {
-            let payload = self.read_round(reg)?;
-            self.shared.logical_ops.add(indices.len() as u64 - 1);
-            indices
-                .into_iter()
-                .map(|i| {
-                    let key = keys[i].as_ref();
-                    let value = codec::value_for_key(&payload, key);
-                    if value.is_none()
-                        && !payload.is_bottom()
-                        && codec::payload_epoch(&payload) != Some(map.stamp())
-                    {
-                        // Absent under a foreign stamp: possibly a moved
-                        // key behind a stale map — re-route per key.
-                        self.shared.kv.get(key).map(|v| (i, v))
-                    } else {
-                        Ok((i, value))
-                    }
-                })
-                .collect()
-        });
-        // Errors are deferred so every shard's round and every barriered
-        // key still runs before the first failure is reported.
-        let mut first_err = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok(served) => {
-                    for (i, value) in served {
-                        results[i] = Some(value);
-                    }
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        for i in barriered {
-            self.shared.logical_ops.inc();
-            self.shared.register_ops.inc();
-            match self.shared.kv.get(keys[i].as_ref()) {
-                Ok(value) => results[i] = Some(value),
-                Err(e) => {
-                    results[i] = Some(None);
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.expect("every index answered"))
-            .collect())
+        let keys: Vec<&str> = keys.iter().map(AsRef::as_ref).collect();
+        self.read_keys(&keys, &map).into_iter().collect()
     }
 
     // -- Quorum rounds ---------------------------------------------------
 
-    /// Runs `work` for every register group, with groups sharing a home
-    /// node serialized on one thread and distinct nodes' groups running
-    /// concurrently (the same pipelining shape as `KvClient`).
-    fn per_node<V: Send, T: Send>(
-        &self,
-        per_reg: std::collections::BTreeMap<u16, V>,
-        work: impl Fn(RegisterId, V) -> Result<T, KvError> + Sync,
-    ) -> Vec<Result<T, KvError>> {
-        let nodes = self.shared.kv.node_count();
-        let mut by_node: std::collections::BTreeMap<usize, Vec<(u16, V)>> =
-            std::collections::BTreeMap::new();
-        for (reg, v) in per_reg {
-            by_node
-                .entry(reg as usize % nodes)
-                .or_default()
-                .push((reg, v));
-        }
-        std::thread::scope(|scope| {
-            let work = &work;
-            let handles: Vec<_> = by_node
-                .into_values()
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .into_iter()
-                            .map(|(reg, v)| work(RegisterId(reg), v))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch node thread panicked"))
-                .collect()
-        })
-    }
-
-    /// One read quorum round.
-    fn read_round(&self, reg: RegisterId) -> Result<Value, KvError> {
-        self.shared.register_ops.inc();
-        self.shared.logical_ops.inc();
-        let label = format!("shard:{}", reg.0);
-        self.shared.kv.raw_read(reg, &label)
-    }
-
-    /// One write quorum round carrying a whole chunk, stamped with and
-    /// guarded by the flush's epoch.
-    fn write_round(
-        &self,
-        reg: RegisterId,
-        chunk: &[CoalescedPut],
-        map: &ShardMap,
-    ) -> Result<(), KvError> {
-        self.shared.register_ops.inc();
-        self.shared.bundle_size.record(chunk.len() as u64);
-        let logical: u64 = chunk.iter().map(|e| e.covered as u64).sum();
-        self.shared.logical_ops.add(logical);
-        let entries: Vec<(&str, Bytes)> = chunk
-            .iter()
-            .map(|e| (e.key.as_str(), e.value.clone()))
-            .collect();
-        let payload = codec::encode_entries(&entries, map.stamp());
-        let label = if chunk.len() == 1 {
-            chunk[0].key.clone()
-        } else {
-            format!("shard:{}×{}", reg.0, chunk.len())
-        };
-        // Epoch-guarded (mirrors `KvClient::put`): if a split publishes
-        // while this round is in flight, the bundle aborts un-issued
-        // rather than landing behind a migration seal; its entries then
-        // re-route through the epoch-aware per-key path.
-        if !self
-            .shared
-            .kv
-            .raw_write_guarded(reg, payload, &label, map.epoch)?
-        {
-            for entry in chunk {
-                self.shared.kv.put(&entry.key, entry.value.clone())?;
+    /// Every key's value under `map`: one read round per register, all in
+    /// flight at once on the client's engine, every key on the register
+    /// served from its payload. Keys behind the migration write barrier
+    /// need the old-home-then-new-home fallback, which is per key: they
+    /// take the epoch-aware `KvClient` path instead.
+    fn read_keys(&self, keys: &[&str], map: &ShardMap) -> Vec<Result<Option<Bytes>, KvError>> {
+        let mut answers: Vec<Option<Result<Option<Bytes>, KvError>>> = vec![None; keys.len()];
+        let mut per_reg: BTreeMap<RegisterId, Vec<usize>> = BTreeMap::new();
+        for (i, key) in keys.iter().enumerate() {
+            if self.is_barriered(map, key) {
+                self.shared.logical_ops.inc();
+                self.shared.register_ops.inc();
+                answers[i] = Some(self.shared.kv.get(key));
+            } else {
+                per_reg.entry(map.register_for(key)).or_default().push(i);
             }
         }
-        Ok(())
+        let reads: Vec<(RegisterId, String)> = per_reg
+            .iter()
+            .map(|(&reg, served)| {
+                self.shared.register_ops.inc();
+                self.shared.logical_ops.add(served.len() as u64);
+                (reg, format!("shard:{}", reg.0))
+            })
+            .collect();
+        let payloads = self.shared.kv.raw_reads(&reads);
+        for (served, payload) in per_reg.into_values().zip(payloads) {
+            for i in served {
+                answers[i] = Some(payload.clone().and_then(|p| self.serve(&p, keys[i], map)));
+            }
+        }
+        answers
+            .into_iter()
+            .map(|a| a.expect("every key answered"))
+            .collect()
+    }
+
+    /// A key's value out of its shard's read payload. Absent under a
+    /// foreign stamp, the key may have moved behind a stale map: the
+    /// per-key path refreshes and re-routes it (mirroring
+    /// `KvClient::get`'s classification).
+    fn serve(&self, payload: &Value, key: &str, map: &ShardMap) -> Result<Option<Bytes>, KvError> {
+        let value = codec::value_for_key(payload, key);
+        if value.is_none()
+            && !payload.is_bottom()
+            && codec::payload_epoch(payload) != Some(map.stamp())
+        {
+            return self.shared.kv.get(key);
+        }
+        Ok(value)
+    }
+
+    /// Writes `puts` (key, value, and the reply channel of a table-queued
+    /// put) under `map`: coalesced per register (see [`coalesce`]) and
+    /// cut into chunks, one write round per chunk — all in flight at once
+    /// on the client's engine, one register's chunks landing in order.
+    /// Keys behind the migration write barrier take the per-key path
+    /// (the barrier is per source shard). Every waiter hears its put's
+    /// outcome; returns the first failure.
+    fn write_puts(
+        &self,
+        puts: Vec<(String, Bytes, Option<Waiter>)>,
+        map: &ShardMap,
+    ) -> Result<(), KvError> {
+        let mut outcomes = Vec::new();
+        let mut per_reg: BTreeMap<RegisterId, Vec<(String, Bytes, Option<Waiter>)>> =
+            BTreeMap::new();
+        for (key, value, waiter) in puts {
+            if self.is_barriered(map, &key) {
+                self.shared.logical_ops.inc();
+                self.shared.register_ops.inc();
+                let reply = self.shared.kv.put(&key, value);
+                if let Some(done) = waiter {
+                    let _ = done.send(reply.clone());
+                }
+                outcomes.push(reply);
+            } else {
+                let reg = map.register_for(&key);
+                per_reg.entry(reg).or_default().push((key, value, waiter));
+            }
+        }
+        let lists: Vec<(RegisterId, Vec<CoalescedPut>)> = per_reg
+            .into_iter()
+            .map(|(reg, puts)| (reg, coalesce(puts)))
+            .collect();
+        let rounds: Vec<(RegisterId, &[CoalescedPut])> = (lists.iter())
+            .flat_map(|(reg, list)| self.chunks(list).map(move |chunk| (*reg, chunk)))
+            .collect();
+        for ((_, chunk), outcome) in rounds.iter().zip(self.write_rounds(&rounds, map)) {
+            for done in chunk.iter().flat_map(|entry| &entry.waiters) {
+                let _ = done.send(outcome.clone());
+            }
+            outcomes.push(outcome);
+        }
+        outcomes.into_iter().collect()
+    }
+
+    /// One write round per chunk, all in flight at once on the client's
+    /// engine, each stamped with and guarded by the flush's epoch
+    /// (mirroring `KvClient::put`): if a split publishes meanwhile, a
+    /// round aborts un-issued rather than landing behind a migration
+    /// seal, and its entries re-route through the epoch-aware per-key
+    /// path.
+    fn write_rounds(
+        &self,
+        rounds: &[(RegisterId, &[CoalescedPut])],
+        map: &ShardMap,
+    ) -> Vec<Result<(), KvError>> {
+        let writes: Vec<(RegisterId, Value, String)> = rounds
+            .iter()
+            .map(|&(reg, chunk)| {
+                self.shared.register_ops.inc();
+                self.shared.bundle_size.record(chunk.len() as u64);
+                let logical: u64 = chunk.iter().map(|e| u64::from(e.covered)).sum();
+                self.shared.logical_ops.add(logical);
+                let label = if chunk.len() == 1 {
+                    chunk[0].key.clone()
+                } else {
+                    format!("shard:{}×{}", reg.0, chunk.len())
+                };
+                (
+                    reg,
+                    codec::encode_entries(&entries_of(chunk), map.stamp()),
+                    label,
+                )
+            })
+            .collect();
+        let landed = self.shared.kv.raw_writes(&writes, Some(map.epoch));
+        (rounds.iter().zip(landed))
+            .map(|(&(_, chunk), landed)| match landed? {
+                true => Ok(()),
+                false => self.shared.kv.multi_put(&entries_of(chunk)),
+            })
+            .collect()
     }
 
     /// Splits coalesced entries into chunks, each fitting `max_batch` and
     /// the transport frame budget. An entry that alone exceeds the budget
-    /// ships alone — `raw_write` then refuses it fast with the exact
+    /// ships alone — the client then refuses it fast with the exact
     /// numbers, and only its own waiters see the error.
     fn chunks<'a>(&self, entries: &'a [CoalescedPut]) -> impl Iterator<Item = &'a [CoalescedPut]> {
         let budget = self.shared.kv.max_value_len();
@@ -706,6 +574,17 @@ impl BatchedKv {
     }
 }
 
+/// A chunk's entries as the codec and `KvClient` take them.
+fn entries_of(chunk: &[CoalescedPut]) -> Vec<(&str, Bytes)> {
+    chunk
+        .iter()
+        .map(|e| (e.key.as_str(), e.value.clone()))
+        .collect()
+}
+
+/// The reply channel of a table-queued put.
+type Waiter = Sender<Result<(), KvError>>;
+
 /// One distinct key of a forming write round.
 struct CoalescedPut {
     key: String,
@@ -714,29 +593,29 @@ struct CoalescedPut {
     covered: u32,
     /// Reply channels of the covered table-queued puts (empty for
     /// one-shot batches, which report through the call's return value).
-    waiters: Vec<crossbeam::channel::Sender<Result<(), KvError>>>,
+    waiters: Vec<Waiter>,
 }
 
-/// Last-write-wins coalescing of a flush's queued puts, preserving first
-/// arrival order per key (indexed, so hot-key floods coalesce in linear
-/// time).
-fn coalesce(puts: Vec<QueuedPut>) -> Vec<CoalescedPut> {
+/// Last-write-wins coalescing of one register's puts (key, value, and
+/// the reply channel of a table-queued put), preserving first arrival
+/// order per key (indexed, so hot-key floods coalesce in linear time).
+fn coalesce(puts: impl IntoIterator<Item = (String, Bytes, Option<Waiter>)>) -> Vec<CoalescedPut> {
     let mut out: Vec<CoalescedPut> = Vec::new();
-    let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-    for put in puts {
-        match index.get(put.key.as_str()) {
+    let mut index: HashMap<String, usize> = HashMap::new();
+    for (key, value, waiter) in puts {
+        match index.get(key.as_str()) {
             Some(&i) => {
-                out[i].value = put.value;
+                out[i].value = value;
                 out[i].covered += 1;
-                out[i].waiters.push(put.done);
+                out[i].waiters.extend(waiter);
             }
             None => {
-                index.insert(put.key.clone(), out.len());
+                index.insert(key.clone(), out.len());
                 out.push(CoalescedPut {
-                    key: put.key,
-                    value: put.value,
+                    key,
+                    value,
                     covered: 1,
-                    waiters: vec![put.done],
+                    waiters: waiter.into_iter().collect(),
                 });
             }
         }

@@ -1,6 +1,34 @@
 //! The real-runtime store client: epoch-aware key routing over a cached
-//! shard map, with pipelined per-shard operations across the cluster's
-//! nodes and a live shard-split protocol.
+//! shard map, one op engine driving every operation across the cluster's
+//! nodes, and a live shard-split protocol.
+//!
+//! # The op engine
+//!
+//! Every store operation — `get`, `put`, each key of
+//! `multi_get`/`multi_put`, the raw register reads and writes the
+//! batching layer builds on, the shard-map reads and the migration
+//! copies — is a small per-op state machine, and one loop on the calling
+//! thread advances all of a call's ops over a single
+//! [`PipelinedClient`] fan spanning every node. A blocking `get`/`put`
+//! is that loop driving one op; a multi-key call drives one per key,
+//! queued client-side one op per register at a time (the paper's
+//! §III-A sequentiality is per register). An op's states:
+//!
+//! 1. **route** under the cached shard map;
+//! 2. **lease check** — a get served by a live tag lease ends here, with
+//!    zero datagrams;
+//! 3. **submit** to the next node of the health-gated failover rotation
+//!    (a guarded write re-checks its epoch before every attempt);
+//! 4. on completion: **done**, **`Busy` backoff** on the same node,
+//!    **fail over** to the next node, **barrier seal-poll** again,
+//!    **split forward-read**, **refresh and re-route** on a foreign epoch
+//!    stamp, or **abort and re-route** when a guarded write's epoch moved
+//!    before it was issued.
+//!
+//! The loop sleeps in [`PipelinedClient::wait_any`] until the next
+//! completion or the earliest backoff or seal-poll deadline. Each store
+//! op is ONE recorded invocation however many register rounds serve it;
+//! migration copies and seals are never recorded.
 //!
 //! # Epochs
 //!
@@ -29,7 +57,7 @@
 //! migration fall back *old-home-then-new-home*: an unsealed old home is
 //! authoritative, a sealed one forwards to the new routing.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -118,32 +146,6 @@ impl ClientObs {
     fn op_clock(&self) -> Option<Instant> {
         self.handle.metrics.is_enabled().then(Instant::now)
     }
-}
-
-/// Bookkeeping for one op of a pipelined multi-key batch, kept in a twin
-/// vector alongside its [`Ticket`] (so the ticket slice feeds `wait_any`
-/// directly).
-struct InFlightOp {
-    /// Index into the caller's input slice.
-    idx: usize,
-    /// The register the op was routed to — its completion refills the
-    /// next op from this register's queue.
-    reg: RegisterId,
-    /// The serving node (fan target order == `KvClient::nodes` order).
-    node: usize,
-    /// The recorded invocation: handed to the blocking path on fallback
-    /// so a retried op never opens a second recorded operation.
-    inv: Option<rmem_types::OpId>,
-    /// Whether this op is the node's owed health probe (won via
-    /// [`HealthMemory::try_begin_probe`]): an inconclusive outcome hands
-    /// the debt back.
-    probe: bool,
-    /// Latency clock opened at submission (when metrics are on).
-    started: Option<Instant>,
-    /// Submission instant for the lease-horizon anchor (only stamped
-    /// when the client's lease cache is armed): a grant riding this
-    /// op's completion expires `grant.micros` after *this* moment.
-    sent: Option<Instant>,
 }
 
 /// Snapshot of a client's per-operation quorum-round statistics.
@@ -359,9 +361,10 @@ impl std::error::Error for KvError {}
 /// its home node is down or unresponsive — any node can serve any
 /// register.
 /// [`multi_get`](KvClient::multi_get)/[`multi_put`](KvClient::multi_put)
-/// run the per-node batches **concurrently** — operations on different
-/// shards touch different registers and are independent by locality, so
-/// the only serialization kept is the per-node operation order.
+/// run their keys **concurrently** on the [op engine](self#the-op-engine)
+/// — operations on different shards touch different registers and are
+/// independent by locality, so the only serialization kept is the
+/// per-register operation order.
 ///
 /// Reads and writes inherit the register emulation's guarantees: with a
 /// majority of nodes up, every operation terminates, and per-key histories
@@ -398,6 +401,9 @@ pub struct KvClient {
     /// leases ([`rmem_core::Flavor::leases`]) — against an unleased
     /// cluster the cache simply never fills.
     leases: Option<Arc<LeaseCache>>,
+    /// The op engine's reactor: one pipelined fan over `nodes` (shared by
+    /// clones, rebuilt whenever the node handles change).
+    fan: Arc<PipelinedClient>,
 }
 
 impl KvClient {
@@ -419,6 +425,7 @@ impl KvClient {
         }
         let health = Arc::new(HealthMemory::new(nodes.len(), Duration::from_secs(5)));
         Ok(KvClient {
+            fan: Arc::new(PipelinedClient::fan(&nodes)),
             nodes,
             map: Arc::new(Mutex::new(ShardMap::genesis(router.shards()))),
             synced: Arc::new(std::sync::atomic::AtomicBool::new(false)),
@@ -454,11 +461,14 @@ impl KvClient {
         self.trace = flight
             .is_enabled()
             .then(|| Arc::new(TraceCtx::new(flight.clone())));
-        self.nodes = self
-            .nodes
-            .into_iter()
-            .map(|n| n.with_trace(self.trace.clone()))
-            .collect();
+        let trace = self.trace.clone();
+        self.map_nodes(|n| n.with_trace(trace.clone()))
+    }
+
+    /// Reconfigures every node handle, and the engine's fan with them.
+    fn map_nodes(mut self, f: impl Fn(Client) -> Client) -> Self {
+        self.nodes = self.nodes.into_iter().map(f).collect();
+        self.fan = Arc::new(PipelinedClient::fan(&self.nodes));
         self
     }
 
@@ -524,13 +534,8 @@ impl KvClient {
 
     /// Replaces each node handle's patience window (default 10 s): how
     /// long one node may sit on an operation before failover moves on.
-    pub fn with_op_timeout(mut self, timeout: Duration) -> Self {
-        self.nodes = self
-            .nodes
-            .into_iter()
-            .map(|n| n.with_timeout(timeout))
-            .collect();
-        self
+    pub fn with_op_timeout(self, timeout: Duration) -> Self {
+        self.map_nodes(|n| n.with_timeout(timeout))
     }
 
     /// Replaces the cluster-health mark cooldown (default 5 s): how long a
@@ -712,12 +717,12 @@ impl KvClient {
     }
 
     /// Bounded exponential backoff with jitter before retry `attempt`
-    /// (1-based): base 50 µs doubling to a 2 ms ceiling, the actual sleep
+    /// (1-based): base 50 µs doubling to a 2 ms ceiling, the actual wait
     /// drawn uniformly from `[cap/2, cap]`. The jitter is what prevents
     /// livelock under contention — two clients Busy-bouncing on one
     /// register with deterministic sleeps would stay phase-locked and
     /// collide on every retry.
-    fn backoff(&self, attempt: u32) {
+    fn backoff(&self, attempt: u32) -> Duration {
         use rand::{Rng, SeedableRng};
         // Each thread jitters from its own stream (seeded off a global
         // counter): contending threads decorrelate instead of sharing a
@@ -734,7 +739,7 @@ impl KvClient {
         let cap = (50u64 << attempt.min(6).saturating_sub(1)).min(2_000);
         let sleep = JITTER.with(|rng| rng.borrow_mut().gen_range(cap / 2..=cap));
         self.obs.backoff_micros.add(sleep);
-        std::thread::sleep(Duration::from_micros(sleep));
+        Duration::from_micros(sleep)
     }
 
     /// The current cached shard map (shared with clones).
@@ -755,11 +760,6 @@ impl KvClient {
         ShardRouter::new(self.shard_map().shards)
     }
 
-    /// Number of node handles.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The largest *register value* this client can write, if any node's
     /// transport is bounded (the minimum across nodes — a value must fit
     /// every replica's frame, not just the contacted node's, because the
@@ -769,35 +769,29 @@ impl KvClient {
     }
 
     /// Adopts `new` into the shared cache if it advances the current map
-    /// (newer epoch, or same epoch moving from migrating to committed).
-    /// An adoption revokes **every** lease: no lease survives a
-    /// shard-map change — the keys behind a register may differ under
-    /// the new routing, and migration copies rewrite registers outside
-    /// the leased read path.
-    fn adopt(&self, new: &ShardMap) {
-        let changed = {
+    /// (newer epoch, or same epoch moving from migrating to committed);
+    /// returns whether it did. An adoption revokes **every** lease: no
+    /// lease survives a shard-map change — the keys behind a register may
+    /// differ under the new routing, and migration copies rewrite
+    /// registers outside the leased read path.
+    fn adopt(&self, new: &ShardMap) -> bool {
+        {
             let mut cur = self.map.lock().expect("shard map lock");
-            if new.epoch > cur.epoch
-                || (new.epoch == cur.epoch && cur.is_migrating() && !new.is_migrating())
-            {
-                *cur = *new;
-                true
-            } else {
-                false
+            let commits = new.epoch == cur.epoch && cur.is_migrating() && !new.is_migrating();
+            if new.epoch <= cur.epoch && !commits {
+                return false;
             }
-        };
-        if changed {
-            if let Some(cache) = &self.leases {
-                let dropped = cache.clear() as u64;
-                if dropped > 0 {
-                    self.obs.lease_revocations.add(dropped);
-                    self.obs
-                        .handle
-                        .flight
-                        .record(FlightEvent::new(EventKind::LeaseRevoke).with_aux(dropped));
-                }
-            }
+            *cur = *new;
         }
+        let dropped = self.leases.as_ref().map_or(0, |cache| cache.clear() as u64);
+        if dropped > 0 {
+            self.obs.lease_revocations.add(dropped);
+            self.obs
+                .handle
+                .flight
+                .record(FlightEvent::new(EventKind::LeaseRevoke).with_aux(dropped));
+        }
+        true
     }
 
     /// Re-reads the authoritative shard map from the config register and
@@ -811,22 +805,8 @@ impl KvClient {
     /// read.
     pub fn refresh_map(&self) -> Result<bool, KvError> {
         self.obs.map_refreshes.inc();
-        let payload = self.reg_read(CONFIG_REGISTER, "shard-map")?;
-        self.synced.store(true, Ordering::Relaxed);
-        let Some(published) = ShardMap::decode(&payload) else {
-            return Ok(false);
-        };
-        let before = self.shard_map();
-        self.adopt(&published);
-        let changed = self.shard_map() != before;
-        if changed {
-            self.obs.handle.flight.record(
-                FlightEvent::new(EventKind::EpochRefresh)
-                    .with_epoch(published.epoch as u32)
-                    .with_aux(u64::from(published.shards)),
-            );
-        }
-        Ok(changed)
+        let done = self.run_one(Req::Read(CONFIG_REGISTER, Rec::Infra), "shard-map")?;
+        Ok(self.adopt_published(&done.payload))
     }
 
     /// One-time bootstrap sync, run implicitly by the first operation of
@@ -842,145 +822,32 @@ impl KvClient {
     /// Returns [`KvError::Register`] if the config register cannot be
     /// read.
     pub fn sync_map(&self) -> Result<(), KvError> {
-        if self.synced.load(Ordering::Relaxed) {
-            return Ok(());
+        if !self.synced.load(Ordering::Relaxed) {
+            let done = self.run_one(Req::Read(CONFIG_REGISTER, Rec::Silent), "shard-map")?;
+            self.adopt_published(&done.payload);
         }
-        let (payload, _) = self.with_failover("shard-map", CONFIG_REGISTER, |node| {
-            node.read_at_counted(CONFIG_REGISTER)
-        })?;
-        if let Some(published) = ShardMap::decode(&payload) {
-            self.adopt(&published);
-        }
-        self.synced.store(true, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Runs one register operation for `label`, preferring the register's
-    /// home node but failing over to the other nodes when it is
-    /// unreachable: every node can serve every register, so as long as a
-    /// majority is up the operation terminates through *some* handle.
-    /// `Busy` rejections (another client racing this node) retry with
-    /// backoff on the same node first, then fail over like any other
-    /// unavailability — register operations are idempotent, so a retry
-    /// after an ambiguous timeout is safe.
-    ///
-    /// Nodes the shared [`HealthMemory`] marks as recently failed are
-    /// tried *last* (never skipped), and a timeout/down outcome marks the
-    /// node — so across the concurrent threads of a multi-key batch, a
-    /// wedged node costs one patience window, not one per key. A node
-    /// whose mark has decayed must first serve one **probe** operation
-    /// before rejoining full rotation: exactly one caller wins the probe
-    /// (and routes its operation through the node, first), everyone else
-    /// keeps trying it last until the probe clears it.
-    /// [`ClientError::TooLarge`] short-circuits without marking: the value
-    /// cannot fit *any* node's frame, so failing over would only repeat
-    /// the refusal.
-    fn with_failover<T>(
-        &self,
-        key: &str,
-        reg: RegisterId,
-        op: impl FnMut(&Client) -> Result<T, ClientError>,
-    ) -> Result<T, KvError> {
-        self.with_failover_abortable(key, reg, op, None)
-            .map(|v| v.expect("unabortable failover cannot abort"))
-    }
-
-    /// [`with_failover`](Self::with_failover) with an abort guard checked
-    /// before every node attempt; `Ok(None)` means the guard fired and
-    /// the operation was **not** issued to any further node.
-    ///
-    /// The epoch-aware write path uses this to keep a write from landing
-    /// *late*: a node attempt's effect lands within moments of its start,
-    /// so checking "did the shard map move?" right before each attempt
-    /// bounds how stale a landed write can be — without it, a write
-    /// stalled behind a dead node's patience window could surface on a
-    /// source register long after the shard was sealed.
-    fn with_failover_abortable<T>(
-        &self,
-        key: &str,
-        reg: RegisterId,
-        mut op: impl FnMut(&Client) -> Result<T, ClientError>,
-        abort: Option<&dyn Fn() -> bool>,
-    ) -> Result<Option<T>, KvError> {
-        let home = reg.0 as usize % self.nodes.len();
-        let rotation = (0..self.nodes.len()).map(|o| (home + o) % self.nodes.len());
-        let mut fresh = Vec::new();
-        let mut suspect = Vec::new();
-        let mut probing: Option<usize> = None;
-        for i in rotation {
-            match self.health.gate(i) {
-                NodeGate::Fresh => fresh.push(i),
-                NodeGate::Suspect => suspect.push(i),
-                NodeGate::NeedsProbe => {
-                    if probing.is_none() && self.health.try_begin_probe(i) {
-                        // The probe winner's operation *is* the probe: the
-                        // node goes first so this operation definitely
-                        // exercises it (success clears, failure re-marks).
-                        probing = Some(i);
-                    } else {
-                        suspect.push(i);
-                    }
-                }
+    /// Adopts the shard map published in a config-register `payload` (a
+    /// ⊥ register leaves the bootstrap map in force) and marks the family
+    /// synced. Returns whether the cached map changed.
+    fn adopt_published(&self, payload: &Value) -> bool {
+        let changed = match ShardMap::decode(payload) {
+            Some(published) if self.adopt(&published) => {
+                self.obs.handle.flight.record(
+                    FlightEvent::new(EventKind::EpochRefresh)
+                        .with_epoch(published.epoch as u32)
+                        .with_aux(u64::from(published.shards)),
+                );
+                true
             }
-        }
-        let order = probing.into_iter().chain(fresh).chain(suspect);
-        let mut last_err = None;
-        for i in order {
-            let node = &self.nodes[i];
-            let mut attempts = 0;
-            loop {
-                // Checked before *every* attempt, busy retries included: a
-                // Busy storm (e.g. barrier pollers hammering a splitting
-                // register) must not delay an issue past the guard — the
-                // guarded write's contract is that its effect lands within
-                // one clean attempt of a passing check.
-                if abort.is_some_and(|guard| guard()) {
-                    return Ok(None);
-                }
-                match op(node) {
-                    Err(ClientError::Busy) if attempts < self.busy_retries => {
-                        attempts += 1;
-                        self.obs.retries.inc();
-                        self.backoff(attempts);
-                    }
-                    Err(ClientError::TooLarge { size, limit }) => {
-                        if probing == Some(i) {
-                            // The probe never reached the node (client-side
-                            // refusal): hand the debt back.
-                            self.health.reopen_probe(i);
-                        }
-                        return Err(KvError::TooLarge {
-                            key: key.to_string(),
-                            size,
-                            limit,
-                        });
-                    }
-                    // This node is gone, wedged, or permanently saturated
-                    // (Busy retries exhausted); the next one serves the
-                    // same register.
-                    Err(source) => {
-                        self.obs.retries.inc();
-                        if matches!(source, ClientError::TimedOut | ClientError::ProcessDown) {
-                            self.health.mark(i);
-                        } else if probing == Some(i) {
-                            // Inconclusive probe (e.g. Busy exhaustion):
-                            // the node still owes one.
-                            self.health.reopen_probe(i);
-                        }
-                        last_err = Some(source);
-                        break;
-                    }
-                    Ok(v) => {
-                        self.health.clear(i);
-                        return Ok(Some(v));
-                    }
-                }
-            }
-        }
-        Err(KvError::Register {
-            key: key.to_string(),
-            source: last_err.expect("at least one node was tried"),
-        })
+            _ => false,
+        };
+        // Only after the adoption: a clone that finds the family synced
+        // must already route under the published map.
+        self.synced.store(true, Ordering::Relaxed);
+        changed
     }
 
     /// Records a store-operation invocation (one per `put`/`get`, however
@@ -992,11 +859,7 @@ impl KvClient {
     /// Records an outcome against the pending invocation `inv`: replies
     /// for definite outcomes, the crash/recovery idiom for ambiguous
     /// ones.
-    pub(crate) fn rec_outcome(
-        &self,
-        inv: Option<rmem_types::OpId>,
-        outcome: Result<OpResult, &KvError>,
-    ) {
+    fn rec_outcome(&self, inv: Option<rmem_types::OpId>, outcome: Result<OpResult, &KvError>) {
         let Some((recorder, pid)) = &self.recorder else {
             return;
         };
@@ -1018,91 +881,28 @@ impl KvClient {
         }
     }
 
-    /// One failover-protected register read. **Unrecorded** — recording
-    /// happens at the store-operation level (see [`rec_invoke`]), so
-    /// infrastructure reads (barrier polls, map refreshes) and the
-    /// several rounds of one logical `get` never masquerade as distinct
-    /// store operations.
-    ///
-    /// [`rec_invoke`]: KvClient::rec_invoke
-    fn reg_read(&self, reg: RegisterId, label: &str) -> Result<Value, KvError> {
-        let (payload, rounds) = self.with_failover(label, reg, |node| node.read_at_counted(reg))?;
-        self.record_read(rounds);
-        Ok(payload)
+    /// Runs recorded raw register ops on the engine (after the first-op
+    /// map sync, whose failure fails them all).
+    fn drive_raw(&self, ops: Vec<EngineOp<'_>>) -> Vec<Result<Done, KvError>> {
+        match self.sync_map() {
+            Ok(()) => self.drive(ops),
+            Err(e) => vec![Err(e); ops.len()],
+        }
     }
 
-    /// [`reg_read`](Self::reg_read) that additionally harvests a lease
-    /// grant into the cache when one rides the read's completion. `t0`
-    /// is stamped inside the per-attempt closure, so the horizon anchors
-    /// at the *successful* attempt's submission instant — never at an
-    /// earlier failed node's.
-    fn reg_read_leasing(
-        &self,
-        reg: RegisterId,
-        label: &str,
-        map: &ShardMap,
-    ) -> Result<Value, KvError> {
-        if self.leases.is_none() {
-            return self.reg_read(reg, label);
-        }
-        let (payload, rounds, grant, t0) = self.with_failover(label, reg, |node| {
-            let t0 = Instant::now();
-            node.read_at_leased(reg).map(|(v, r, g)| (v, r, g, t0))
-        })?;
-        self.record_read(rounds);
-        // With no grant, whatever lease the cache holds for this
-        // register is not refreshable — the quorum stopped attesting
-        // it. Leave it to expire on its own horizon (still safe: the
-        // fence outlives it), no forced revocation.
-        if let Some(grant) = grant {
-            self.lease_fill(reg, grant, payload.clone(), map, t0);
-        }
-        Ok(payload)
+    /// Runs one raw register op on the engine.
+    fn run_one(&self, req: Req, label: &str) -> Result<Done, KvError> {
+        self.drive(vec![EngineOp::new(req, label, RegisterId::ZERO)])
+            .pop()
+            .expect("one op in, one answer out")
     }
 
-    /// One failover-protected register write. **Unrecorded** (see
-    /// [`reg_read`](KvClient::reg_read)); notably the migration *data*
-    /// writes — the copy to the new home and the seal of the old one —
-    /// must never be recorded: at the store level they relocate a value
-    /// rather than write one, and recording them would let a buggy
-    /// (non-tag-monotonic) copy read as a legitimate write, hiding
-    /// exactly the lost updates the cross-epoch certifier exists to
-    /// catch.
+    /// One failover-protected, **unrecorded** register write (see
+    /// [`Rec::Infra`] for why migration copies and seals must never be
+    /// recorded).
     fn reg_write(&self, reg: RegisterId, payload: Value, label: &str) -> Result<(), KvError> {
-        self.lease_revoke(reg);
-        let rounds = self.with_failover(label, reg, |node| {
-            node.write_at_counted(reg, payload.clone())
-        })?;
-        self.record_write(rounds);
-        Ok(())
-    }
-
-    /// One register write that aborts — returns `Ok(false)`, nothing
-    /// issued to any further node — as soon as the shard map's epoch
-    /// moves past `epoch`. The epoch-aware `put` uses this so a write
-    /// stalled in failover cannot land on a source register long after
-    /// the shard was sealed.
-    fn reg_write_guarded(
-        &self,
-        reg: RegisterId,
-        payload: Value,
-        label: &str,
-        epoch: u64,
-    ) -> Result<bool, KvError> {
-        self.lease_revoke(reg);
-        let guard = || self.shard_map().epoch != epoch;
-        match self.with_failover_abortable(
-            label,
-            reg,
-            |node| node.write_at_counted(reg, payload.clone()),
-            Some(&guard),
-        )? {
-            Some(rounds) => {
-                self.record_write(rounds);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.run_one(Req::Write(reg, payload, None, Rec::Infra), label)
+            .map(drop)
     }
 
     /// One failover-protected register **write** of an already-encoded
@@ -1116,18 +916,11 @@ impl KvClient {
     ///
     /// As for [`put`](Self::put).
     pub fn raw_write(&self, reg: RegisterId, payload: Value, label: &str) -> Result<(), KvError> {
-        self.sync_map()?;
-        let inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-        match self.reg_write(reg, payload, label) {
-            Ok(()) => {
-                self.rec_outcome(inv, Ok(OpResult::Written));
-                Ok(())
-            }
-            Err(e) => {
-                self.rec_outcome(inv, Err(&e));
-                Err(e)
-            }
-        }
+        let mut answers = self.raw_writes(&[(reg, payload, label)], None);
+        answers
+            .pop()
+            .expect("one write in, one answer out")
+            .map(drop)
     }
 
     /// As [`raw_write`](Self::raw_write), but epoch-guarded: the write
@@ -1147,23 +940,28 @@ impl KvClient {
         label: &str,
         epoch: u64,
     ) -> Result<bool, KvError> {
-        self.sync_map()?;
-        let inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-        match self.reg_write_guarded(reg, payload, label, epoch) {
-            Ok(true) => {
-                self.rec_outcome(inv, Ok(OpResult::Written));
-                Ok(true)
-            }
-            Ok(false) => {
-                // Never issued: a rejected invocation for the recorder.
-                self.rec_outcome(inv, Ok(OpResult::Rejected(rmem_types::RejectReason::Busy)));
-                Ok(false)
-            }
-            Err(e) => {
-                self.rec_outcome(inv, Err(&e));
-                Err(e)
-            }
-        }
+        let mut answers = self.raw_writes(&[(reg, payload, label)], Some(epoch));
+        answers.pop().expect("one write in, one answer out")
+    }
+
+    /// Many [`raw_write`](Self::raw_write)s — epoch-guarded as in
+    /// [`raw_write_guarded`](Self::raw_write_guarded) when `epoch` is
+    /// given — run concurrently on the op engine (writes to one register
+    /// land in input order). Answers align with `writes`; `Ok(false)`
+    /// means the guard aborted the write un-issued.
+    pub fn raw_writes<L: AsRef<str>>(
+        &self,
+        writes: &[(RegisterId, Value, L)],
+        epoch: Option<u64>,
+    ) -> Vec<Result<bool, KvError>> {
+        let ops = writes.iter().map(|(reg, payload, label)| {
+            let req = Req::Write(*reg, payload.clone(), epoch, Rec::Store);
+            EngineOp::new(req, label.as_ref(), *reg)
+        });
+        self.drive_raw(ops.collect())
+            .into_iter()
+            .map(|r| r.map(|done| done.landed))
+            .collect()
     }
 
     /// One failover-protected register **read** returning the raw payload
@@ -1175,80 +973,24 @@ impl KvClient {
     ///
     /// As for [`get`](Self::get).
     pub fn raw_read(&self, reg: RegisterId, label: &str) -> Result<Value, KvError> {
-        self.sync_map()?;
-        let inv = self.rec_invoke(Op::ReadAt(reg));
-        match self.reg_read(reg, label) {
-            Ok(payload) => {
-                self.rec_outcome(inv, Ok(OpResult::ReadValue(payload.clone())));
-                Ok(payload)
-            }
-            Err(e) => {
-                self.rec_outcome(inv, Err(&e));
-                Err(e)
-            }
-        }
+        self.raw_reads(&[(reg, label)])
+            .pop()
+            .expect("one read in, one answer out")
     }
 
-    /// Waits for `old_shard`'s migration seal (bounded): the write
-    /// barrier of a key owned by a splitting shard. Returns `Ok(true)`
-    /// when the seal was observed under `map`'s epoch, `Ok(false)` when
-    /// the shard map advanced past `map` mid-wait (the caller should
-    /// re-route).
-    fn barrier_wait(&self, key: &str, old_shard: u16, map: &ShardMap) -> Result<bool, KvError> {
-        let reg = data_register(old_shard);
-        let mut waited = false;
-        for poll in 0..self.barrier_polls {
-            // The shared cache moves the moment any clone observes a
-            // newer map (e.g. the migration driver committing): always
-            // re-route rather than poll for a seal that may already be
-            // superseded.
-            if self.shard_map() != *map {
-                return Ok(false);
-            }
-            self.obs.barrier_polls.inc();
-            let payload = self.reg_read(reg, key)?;
-            if map.seals_source(&payload, old_shard) {
-                if waited {
-                    // How long the writer actually stalled, in seal polls.
-                    self.obs.handle.flight.record(
-                        FlightEvent::new(EventKind::BarrierWait)
-                            .with_register(reg.0)
-                            .with_epoch(map.epoch as u32)
-                            .with_aux(u64::from(poll)),
-                    );
-                }
-                self.obs.handle.flight.record(
-                    FlightEvent::new(EventKind::SealObserved)
-                        .with_register(reg.0)
-                        .with_epoch(map.epoch as u32),
-                );
-                return Ok(true);
-            }
-            if !waited {
-                waited = true;
-                self.obs.barrier_waits.inc();
-            }
-            // Escalating backoff, capped: the migrator seals a shard in a
-            // handful of register rounds, so the common case is one short
-            // sleep. Every eighth poll re-reads the authoritative map in
-            // case this client is the only one still watching.
-            if poll % 8 == 7 {
-                let _ = self.refresh_map()?;
-            }
-            let backoff = (100u64 << poll.min(5)).min(2_000);
-            std::thread::sleep(Duration::from_micros(backoff));
-        }
-        // Exhausted without a seal: the stall itself is worth a trace.
-        self.obs.handle.flight.record(
-            FlightEvent::new(EventKind::BarrierWait)
-                .with_register(reg.0)
-                .with_epoch(map.epoch as u32)
-                .with_aux(u64::from(self.barrier_polls)),
-        );
-        Err(KvError::Barrier {
-            key: key.to_string(),
-            shard: old_shard,
-        })
+    /// Many [`raw_read`](Self::raw_read)s, run concurrently on the op
+    /// engine. Answers align with `reads`.
+    pub fn raw_reads<L: AsRef<str>>(
+        &self,
+        reads: &[(RegisterId, L)],
+    ) -> Vec<Result<Value, KvError>> {
+        let ops = reads
+            .iter()
+            .map(|(reg, label)| EngineOp::new(Req::Read(*reg, Rec::Store), label.as_ref(), *reg));
+        self.drive_raw(ops.collect())
+            .into_iter()
+            .map(|r| r.map(|done| done.payload))
+            .collect()
     }
 
     /// Stores `value` under `key`, blocking until the write is durable at
@@ -1270,121 +1012,7 @@ impl KvClient {
     /// frame, [`KvError::Barrier`] if a migration barrier never cleared,
     /// [`KvError::Register`] if the register operation fails.
     pub fn put(&self, key: &str, value: impl Into<Bytes>) -> Result<(), KvError> {
-        if self.intents.is_some() {
-            // Exactly-once client: journal the intent durably, write under
-            // a client-assigned op tag, tombstone on ack. (The journal
-            // layer brackets the latency clock itself.)
-            let clock = self.obs.op_clock();
-            let outcome = self.put_exactly_once(key, value.into());
-            if let Some(started) = clock {
-                self.obs
-                    .put_micros
-                    .record(started.elapsed().as_micros() as u64);
-            }
-            return outcome;
-        }
-        self.put_settled(key, value.into(), &mut None)
-    }
-
-    /// The blocking put path with an externally-owned invocation slot:
-    /// brackets the wall-clock latency histogram around
-    /// [`put_inner`](Self::put_inner). The pipelined multi-key driver
-    /// routes a submission that errored (node down, `Busy`, epoch moved)
-    /// through here so the operation keeps its already-recorded
-    /// invocation.
-    fn put_settled(
-        &self,
-        key: &str,
-        value: Bytes,
-        inv: &mut Option<rmem_types::OpId>,
-    ) -> Result<(), KvError> {
-        let clock = self.obs.op_clock();
-        let outcome = self.put_inner(key, value, None, inv);
-        if let Some(started) = clock {
-            self.obs
-                .put_micros
-                .record(started.elapsed().as_micros() as u64);
-        }
-        outcome
-    }
-
-    /// [`put`](Self::put)'s engine (split out so the wall-clock latency
-    /// histogram brackets the whole operation, retries included). With
-    /// `Some(tag)` every landed payload carries the op-id frame — retries
-    /// across epoch re-routes re-encode under the *same* tag, which is
-    /// what lets the exactly-once certifier collapse them into one
-    /// logical write. The invocation slot is caller-owned so the
-    /// pipelined driver can hand over an operation it already invoked
-    /// (and part-attempted) without opening a second recorded op.
-    pub(crate) fn put_inner(
-        &self,
-        key: &str,
-        value: Bytes,
-        tag: Option<OpTag>,
-        inv: &mut Option<rmem_types::OpId>,
-    ) -> Result<(), KvError> {
-        self.sync_map()?;
-        // Recorded as ONE store operation however many rounds serve it:
-        // the invocation opens just before the first write attempt, the
-        // reply lands after the last — so an epoch-repair re-write (below)
-        // stays inside the operation's interval.
-        for _ in 0..MAP_RETRIES {
-            let map = self.shard_map();
-            if map.is_migrating() {
-                let old_shard = map.old_shard_of(key);
-                if map.is_split_source(old_shard) && !self.barrier_wait(key, old_shard, &map)? {
-                    continue; // the map advanced mid-wait; re-route
-                }
-            }
-            let reg = map.register_for(key);
-            let payload = match tag {
-                Some(tag) => codec::encode_entry_tagged(key, &value, map.stamp(), tag),
-                None => codec::encode_entry(key, &value, map.stamp()),
-            };
-            if inv.is_none() {
-                *inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-            }
-            // The guard makes this all-or-nothing: either the write
-            // landed under `map`'s epoch (within one clean attempt of a
-            // passing epoch check — it cannot surface late behind a
-            // seal), or nothing was issued and we re-route under the
-            // fresh map. Exactly one landing either way: a re-write
-            // after a successful landing would let pre-seal observers
-            // and post-seal observers bracket another client's write,
-            // which no single store operation can explain.
-            match self.reg_write_guarded(reg, payload, key, map.epoch) {
-                Ok(true) => {
-                    self.rec_outcome(inv.take(), Ok(OpResult::Written));
-                    return Ok(());
-                }
-                Ok(false) => continue, // epoch moved before landing; re-route
-                Err(e) => {
-                    self.rec_outcome(inv.take(), Err(&e));
-                    return Err(e);
-                }
-            }
-        }
-        // Epochs kept moving for every retry (pathological churn): stop
-        // chasing and write unguarded under the freshest map we have.
-        let map = self.shard_map();
-        let payload = match tag {
-            Some(tag) => codec::encode_entry_tagged(key, &value, map.stamp(), tag),
-            None => codec::encode_entry(key, &value, map.stamp()),
-        };
-        let reg = map.register_for(key);
-        if inv.is_none() {
-            *inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-        }
-        match self.reg_write(reg, payload, key) {
-            Ok(()) => {
-                self.rec_outcome(inv.take(), Ok(OpResult::Written));
-                Ok(())
-            }
-            Err(e) => {
-                self.rec_outcome(inv.take(), Err(&e));
-                Err(e)
-            }
-        }
+        self.multi_put(&[(key, value.into())])
     }
 
     /// Reads the value stored under `key` (`None` if absent — never
@@ -1397,116 +1025,7 @@ impl KvClient {
     ///
     /// Returns [`KvError::Register`] if a register operation fails.
     pub fn get(&self, key: &str) -> Result<Option<Bytes>, KvError> {
-        self.get_settled(key, &mut None)
-    }
-
-    /// The blocking get path with an externally-owned invocation slot
-    /// (see [`put_settled`](Self::put_settled) for why the pipelined
-    /// driver needs one): records ONE store operation — the invocation
-    /// opens before the first data read, the reply carries the payload
-    /// that actually answered (fallback hops and refresh-retries
-    /// included).
-    fn get_settled(
-        &self,
-        key: &str,
-        inv: &mut Option<rmem_types::OpId>,
-    ) -> Result<Option<Bytes>, KvError> {
-        self.sync_map()?;
-        let clock = self.obs.op_clock();
-        let outcome = self.get_inner(key, inv);
-        if let Some(started) = clock {
-            self.obs
-                .get_micros
-                .record(started.elapsed().as_micros() as u64);
-        }
-        match &outcome {
-            Ok((payload, _)) => {
-                self.rec_outcome(inv.take(), Ok(OpResult::ReadValue(payload.clone())));
-            }
-            Err(e) => self.rec_outcome(inv.take(), Err(e)),
-        }
-        outcome.map(|(_, value)| value)
-    }
-
-    /// [`get`](Self::get)'s engine: returns the answering payload (for
-    /// the recorder) alongside the extracted value.
-    pub(crate) fn get_inner(
-        &self,
-        key: &str,
-        inv: &mut Option<rmem_types::OpId>,
-    ) -> Result<(Value, Option<Bytes>), KvError> {
-        let mut last = Value::bottom();
-        for _ in 0..MAP_RETRIES {
-            let map = self.shard_map();
-            if map.is_migrating() {
-                let old_shard = map.old_shard_of(key);
-                if map.is_split_source(old_shard) {
-                    return self.get_during_split(key, &map, old_shard, inv);
-                }
-            }
-            let reg = map.register_for(key);
-            if let Some(payload) = self.lease_hit(reg, &map) {
-                // A live lease answers locally: zero datagrams. The
-                // read is still a recorded store operation — the lease
-                // fence is exactly what makes it certifiable.
-                if inv.is_none() {
-                    *inv = self.rec_invoke(Op::ReadAt(reg));
-                }
-                let value = codec::value_for_key(&payload, key);
-                return Ok((payload, value));
-            }
-            if inv.is_none() {
-                *inv = self.rec_invoke(Op::ReadAt(reg));
-            }
-            let payload = self.reg_read_leasing(reg, key, &map)?;
-            if payload.is_bottom() {
-                return Ok((payload, None));
-            }
-            if let Some(value) = codec::value_for_key(&payload, key) {
-                return Ok((payload, Some(value)));
-            }
-            // Key absent: under the expected stamp that is a plain miss
-            // (collision displacement); under a foreign stamp our map may
-            // be stale — refresh and re-route.
-            if codec::payload_epoch(&payload) == Some(map.stamp()) || !self.refresh_map()? {
-                return Ok((payload, None));
-            }
-            last = payload;
-        }
-        Ok((last, None))
-    }
-
-    /// The migration read path for a key whose source shard is splitting:
-    /// the unsealed old home is authoritative (writers are barriered);
-    /// a sealed old home forwards to the new routing.
-    fn get_during_split(
-        &self,
-        key: &str,
-        map: &ShardMap,
-        old_shard: u16,
-        inv: &mut Option<rmem_types::OpId>,
-    ) -> Result<(Value, Option<Bytes>), KvError> {
-        let old_reg = data_register(old_shard);
-        if inv.is_none() {
-            *inv = self.rec_invoke(Op::ReadAt(old_reg));
-        }
-        let payload = self.reg_read(old_reg, key)?;
-        if map.seals_source(&payload, old_shard) {
-            // Sealed (or already rewritten post-seal): the new routing is
-            // live for this shard.
-            if let Some(value) = codec::value_for_key(&payload, key) {
-                return Ok((payload, Some(value)));
-            }
-            let new_reg = map.register_for(key);
-            if new_reg == old_reg {
-                return Ok((payload, None));
-            }
-            let forwarded = self.reg_read(new_reg, key)?;
-            let value = codec::value_for_key(&forwarded, key);
-            return Ok((forwarded, value));
-        }
-        let value = codec::value_for_key(&payload, key);
-        Ok((payload, value))
+        Ok(self.multi_get(&[key])?.pop().flatten())
     }
 
     // -- Live shard splits -----------------------------------------------
@@ -1679,69 +1198,10 @@ impl KvClient {
 
     // -- Multi-key operations ----------------------------------------------
 
-    /// Groups the operation indices by serving node, preserving input
-    /// order within each group.
-    fn group_by_node(&self, regs: impl Iterator<Item = RegisterId>) -> BTreeMap<usize, Vec<usize>> {
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, reg) in regs.enumerate() {
-            groups
-                .entry(reg.0 as usize % self.nodes.len())
-                .or_default()
-                .push(i);
-        }
-        groups
-    }
-
-    /// The pipelined submit's health gate for a key's home node. The
-    /// pipeline has no failover rotation — a key's op goes to its home or
-    /// to the blocking fallback — so the gate maps to a three-way choice:
-    /// `Some(false)` submit normally, `Some(true)` submit *as the node's
-    /// owed probe* (this caller won [`HealthMemory::try_begin_probe`]),
-    /// `None` route through the blocking path, whose failover tries the
-    /// suspect node last instead of burning the pipeline's patience on
-    /// it.
-    fn gate_for_pipeline(&self, node: usize) -> Option<bool> {
-        match self.health.gate(node) {
-            NodeGate::Fresh => Some(false),
-            NodeGate::Suspect => None,
-            NodeGate::NeedsProbe => self.health.try_begin_probe(node).then_some(true),
-        }
-    }
-
-    /// Builds the per-register FIFO queues of a multi-key batch: the
-    /// runner admits ONE op per register at a time (§III-A per-register
-    /// sequentiality), so the pipeline keeps at most one in-flight op per
-    /// register and refills from its queue — queueing client-side instead
-    /// of eating self-inflicted `Busy` rejections. Duplicate keys keep
-    /// their input order (same register → same queue).
-    fn register_queues<'k>(
-        &self,
-        map: &ShardMap,
-        keys: impl Iterator<Item = &'k str>,
-    ) -> BTreeMap<RegisterId, VecDeque<usize>> {
-        let mut queues: BTreeMap<RegisterId, VecDeque<usize>> = BTreeMap::new();
-        for (i, key) in keys.enumerate() {
-            queues
-                .entry(map.register_for(key))
-                .or_default()
-                .push_back(i);
-        }
-        queues
-    }
-
-    /// Reads many keys, pipelined: every shard's read is submitted from
-    /// this one thread through the event-driven
-    /// [`PipelinedClient`](rmem_net::PipelinedClient) fan and settles as
-    /// its completion arrives — no per-node threads. Results align with
-    /// the input order.
-    ///
-    /// An op the pipeline cannot settle cleanly (node down, timeout,
-    /// `Busy` collision with another client, a payload under a foreign
-    /// epoch stamp) falls back to the blocking [`get`](Self::get) path —
-    /// carrying its already-recorded invocation — where the full
-    /// failover/backoff/refresh machinery applies. A batch issued while
-    /// a split is migrating takes the thread-per-node path wholesale: the
-    /// barrier protocol is the blocking path's job.
+    /// Reads many keys concurrently: every key's get is one op of the
+    /// [op engine](self#the-op-engine), all of them driven from this
+    /// thread over one pipelined fan across the cluster. Results align
+    /// with the input order.
     ///
     /// Failover state is shared through the [`HealthMemory`]: the first
     /// key to time out on a wedged node marks it, and the batch's other
@@ -1756,434 +1216,775 @@ impl KvClient {
         &self,
         keys: &[K],
     ) -> Result<Vec<Option<Bytes>>, KvError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.sync_map()?;
-        let map = self.shard_map();
-        if map.is_migrating() {
-            return self.multi_get_threaded(keys);
-        }
-        let mut results: Vec<Option<Option<Bytes>>> = vec![None; keys.len()];
-        // Live leases answer before anything is submitted: those keys
-        // never enter the pipeline at all (zero datagrams).
-        let mut queues: BTreeMap<RegisterId, VecDeque<usize>> = BTreeMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            let reg = map.register_for(key.as_ref());
-            if let Some(payload) = self.lease_hit(reg, &map) {
-                let inv = self.rec_invoke(Op::ReadAt(reg));
-                let value = codec::value_for_key(&payload, key.as_ref());
-                self.rec_outcome(inv, Ok(OpResult::ReadValue(payload)));
-                results[i] = Some(value);
-            } else {
-                queues.entry(reg).or_default().push_back(i);
-            }
-        }
-        let fan = PipelinedClient::fan(&self.nodes);
-        let mut fallback: Vec<(usize, Option<rmem_types::OpId>)> = Vec::new();
-        let mut tickets: Vec<Ticket> = Vec::new();
-        let mut pending: Vec<InFlightOp> = Vec::new();
-
-        // One submission. The map-equality check right before the send is
-        // the pipelined analogue of the guarded write's per-attempt epoch
-        // check: the effect lands within one event-loop dispatch of a
-        // passing check, so a stale-routed op cannot surface long after a
-        // split moved the key (stale → blocking path, which re-syncs).
-        let try_submit = |idx: usize,
-                          reg: RegisterId|
-         -> Result<(Ticket, InFlightOp), Option<rmem_types::OpId>> {
-            if self.shard_map() != map {
-                return Err(None);
-            }
-            let node = reg.0 as usize % self.nodes.len();
-            let Some(probe) = self.gate_for_pipeline(node) else {
-                return Err(None);
-            };
-            let started = self.obs.op_clock();
-            let inv = self.rec_invoke(Op::ReadAt(reg));
-            let sent = self.leases.is_some().then(Instant::now);
-            match fan.submit_read(node, reg) {
-                Ok(ticket) => Ok((
-                    ticket,
-                    InFlightOp {
-                        idx,
-                        reg,
-                        node,
-                        inv,
-                        probe,
-                        started,
-                        sent,
-                    },
-                )),
-                Err(_) => {
-                    // The only read submit error is `ProcessDown` (the
-                    // node's event loop is gone): mark and settle
-                    // blocking, like any other node failure.
-                    self.obs.retries.inc();
-                    self.health.mark(node);
-                    Err(inv)
-                }
-            }
-        };
-        for (&reg, queue) in queues.iter_mut() {
-            if let Some(idx) = queue.pop_front() {
-                match try_submit(idx, reg) {
-                    Ok((t, p)) => {
-                        tickets.push(t);
-                        pending.push(p);
-                    }
-                    Err(inv) => fallback.push((idx, inv)),
-                }
-            }
-        }
-        let metered = self.obs.handle.metrics.is_enabled();
-        while !pending.is_empty() {
-            if metered {
-                self.obs.inflight.set(pending.len() as u64);
-                self.obs.pipeline_depth.record(pending.len() as u64);
-            }
-            let Some((pos, outcome)) = fan.wait_any(&tickets) else {
-                // The patience window passed with nothing settling:
-                // abandon the whole flight (late acks are counted, never
-                // misdelivered) and settle blocking.
-                for (ticket, p) in tickets.drain(..).zip(pending.drain(..)) {
-                    fan.cancel(ticket);
-                    self.obs.retries.inc();
-                    self.health.mark(p.node);
-                    fallback.push((p.idx, p.inv));
-                }
-                break;
-            };
-            tickets.swap_remove(pos);
-            let done = pending.swap_remove(pos);
-            match outcome {
-                Ok((OpResult::ReadValue(payload), rounds, lease)) => {
-                    self.record_read(rounds);
-                    self.health.clear(done.node);
-                    if let Some(started) = done.started {
-                        self.obs
-                            .get_micros
-                            .record(started.elapsed().as_micros() as u64);
-                    }
-                    if let (Some(grant), Some(t0)) = (lease, done.sent) {
-                        self.lease_fill(done.reg, grant, payload.clone(), &map, t0);
-                    }
-                    if payload.is_bottom() {
-                        self.rec_outcome(done.inv, Ok(OpResult::ReadValue(payload)));
-                        results[done.idx] = Some(None);
-                    } else if let Some(value) =
-                        codec::value_for_key(&payload, keys[done.idx].as_ref())
-                    {
-                        self.rec_outcome(done.inv, Ok(OpResult::ReadValue(payload)));
-                        results[done.idx] = Some(Some(value));
-                    } else if codec::payload_epoch(&payload) == Some(map.stamp()) {
-                        // Key absent under the expected stamp: a plain
-                        // miss (collision displacement).
-                        self.rec_outcome(done.inv, Ok(OpResult::ReadValue(payload)));
-                        results[done.idx] = Some(None);
-                    } else {
-                        // Foreign stamp — the map may be stale; the
-                        // blocking path refreshes and re-routes.
-                        fallback.push((done.idx, done.inv));
-                    }
-                }
-                Ok(_) => fallback.push((done.idx, done.inv)),
-                Err(e) => {
-                    self.obs.retries.inc();
-                    if matches!(e, ClientError::TimedOut | ClientError::ProcessDown) {
-                        self.health.mark(done.node);
-                    } else if done.probe {
-                        // Inconclusive probe (`Busy`): the node still
-                        // owes one.
-                        self.health.reopen_probe(done.node);
-                    }
-                    fallback.push((done.idx, done.inv));
-                }
-            }
-            if let Some(idx) = queues.get_mut(&done.reg).and_then(VecDeque::pop_front) {
-                match try_submit(idx, done.reg) {
-                    Ok((t, p)) => {
-                        tickets.push(t);
-                        pending.push(p);
-                    }
-                    Err(inv) => fallback.push((idx, inv)),
-                }
-            }
-        }
-        if metered {
-            self.obs.inflight.set(0);
-        }
-        // Whatever never settled in the pipeline — plus queue remainders
-        // whose head went to fallback before they were submitted —
-        // settles through the blocking path.
-        for queue in queues.values_mut() {
-            fallback.extend(queue.drain(..).map(|idx| (idx, None)));
-        }
-        let mut first_err: Option<KvError> = None;
-        for (idx, mut inv) in fallback {
-            match self.get_settled(keys[idx].as_ref(), &mut inv) {
-                Ok(value) => results[idx] = Some(value),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(results
+        self.get_all(keys)?
             .into_iter()
-            .map(|slot| slot.expect("every index answered"))
-            .collect())
+            .map(|r| r.map(|done| done.value))
+            .collect()
     }
 
-    /// The thread-per-node batch read: each node's keys run sequentially
-    /// in that node's thread, nodes concurrently. Used when a split is
-    /// migrating (the blocking path owns the barrier/fallback protocol).
-    fn multi_get_threaded<K: AsRef<str> + Sync>(
+    /// Every key's get on the engine; each answer carries the payload
+    /// that answered it.
+    pub(crate) fn get_all<K: AsRef<str>>(
         &self,
         keys: &[K],
-    ) -> Result<Vec<Option<Bytes>>, KvError> {
-        type BatchResult = Result<Vec<(usize, Option<Bytes>)>, KvError>;
-        let map = self.shard_map();
-        let groups = self.group_by_node(keys.iter().map(|k| map.register_for(k.as_ref())));
-        let mut results: Vec<Option<Option<Bytes>>> = vec![None; keys.len()];
-        let outcomes: Vec<BatchResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .values()
-                .map(|indices| {
-                    scope.spawn(move || {
-                        indices
-                            .iter()
-                            .map(|&i| self.get(keys[i].as_ref()).map(|v| (i, v)))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("kv batch thread panicked"))
-                .collect()
-        });
-        for outcome in outcomes {
-            for (i, value) in outcome? {
-                results[i] = Some(value);
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.expect("every index answered"))
-            .collect())
+    ) -> Result<Vec<Result<Done, KvError>>, KvError> {
+        self.run_store(keys.iter().map(|key| (key.as_ref(), Req::Get)))
     }
 
-    /// Writes many entries, pipelined (see
-    /// [`multi_get`](KvClient::multi_get) for the driver's shape). When
-    /// no recorder is attached the payload is encoded **zero-copy**,
-    /// straight into the op slot's reusable scratch buffer. Exactly-once
-    /// clients take the thread-per-node path: the intent journal's
-    /// durable fsync per op is a per-write barrier the pipeline has
-    /// nothing to overlap with.
+    /// Runs one store op per `(key, req)` on the engine, each queued
+    /// behind the ops before it on the key's register.
+    fn run_store<'k>(
+        &self,
+        ops: impl Iterator<Item = (&'k str, Req)>,
+    ) -> Result<Vec<Result<Done, KvError>>, KvError> {
+        self.sync_map()?;
+        let map = self.shard_map();
+        let ops = ops.map(|(key, req)| EngineOp::new(req, key, map.register_for(key)));
+        Ok(self.drive(ops.collect()))
+    }
+
+    /// Writes many entries concurrently, one engine op per entry (see
+    /// [`multi_get`](KvClient::multi_get)). Entries for one register —
+    /// duplicate keys included — land in input order. An exactly-once
+    /// client journals every entry's intent durably before the first
+    /// datagram leaves.
     ///
     /// # Errors
     ///
     /// Returns the first failing key's [`KvError`]; other keys still
     /// ran to completion.
     pub fn multi_put<K: AsRef<str> + Sync>(&self, entries: &[(K, Bytes)]) -> Result<(), KvError> {
-        if entries.is_empty() {
-            return Ok(());
-        }
         if self.intents.is_some() {
-            return self.multi_put_threaded(entries);
+            return self.put_exactly_once(entries);
         }
-        self.sync_map()?;
-        let map = self.shard_map();
-        if map.is_migrating() {
-            return self.multi_put_threaded(entries);
-        }
-        let mut queues = self.register_queues(&map, entries.iter().map(|(k, _)| k.as_ref()));
-        let fan = PipelinedClient::fan(&self.nodes);
-        let mut first_err: Option<KvError> = None;
-        let mut fallback: Vec<(usize, Option<rmem_types::OpId>)> = Vec::new();
-        let mut tickets: Vec<Ticket> = Vec::new();
-        let mut pending: Vec<InFlightOp> = Vec::new();
+        self.put_all(entries, None)?.into_iter().collect()
+    }
 
-        // One submission (see `multi_get` on the pre-send map check). A
-        // client-side `TooLarge` refusal is terminal — no node's frame
-        // fits the value, so neither retry nor fallback can help.
-        let mut try_submit =
-            |idx: usize,
-             reg: RegisterId|
-             -> Result<(Ticket, InFlightOp), Option<Option<rmem_types::OpId>>> {
-                if self.shard_map() != map {
-                    return Err(Some(None));
-                }
-                let node = reg.0 as usize % self.nodes.len();
-                let Some(probe) = self.gate_for_pipeline(node) else {
-                    return Err(Some(None));
-                };
-                let (key, value) = &entries[idx];
-                let key = key.as_ref();
-                let started = self.obs.op_clock();
-                // The cached value for this register is about to go
-                // stale — revoke before the write leaves.
-                self.lease_revoke(reg);
-                let (inv, submitted) = if self.recorder.is_some() {
-                    // Recorded run: the invocation needs the encoded payload,
-                    // so encode once and send the same value.
-                    let payload = codec::encode_entry(key, value, map.stamp());
-                    let inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
-                    (inv, fan.submit_write(node, reg, payload))
-                } else {
-                    (
-                        None,
-                        fan.submit_write_with(node, reg, |buf| {
-                            codec::encode_entry_into(buf, key, value, map.stamp())
-                        }),
-                    )
-                };
-                match submitted {
-                    Ok(ticket) => Ok((
-                        ticket,
-                        InFlightOp {
-                            idx,
-                            reg,
-                            node,
-                            inv,
-                            probe,
-                            started,
-                            sent: None,
-                        },
-                    )),
-                    Err(ClientError::TooLarge { size, limit }) => {
-                        // Client-side refusal: the value fits no node's
-                        // frame, so neither retry nor fallback can help —
-                        // and a won probe never exercised the node.
-                        if probe {
-                            self.health.reopen_probe(node);
-                        }
-                        let e = KvError::TooLarge {
-                            key: key.to_string(),
-                            size,
-                            limit,
-                        };
-                        self.rec_outcome(inv, Err(&e));
-                        first_err = first_err.take().or(Some(e));
-                        Err(None)
-                    }
-                    Err(_) => {
-                        self.obs.retries.inc();
-                        self.health.mark(node);
-                        Err(Some(inv))
-                    }
-                }
-            };
-        for (&reg, queue) in queues.iter_mut() {
-            if let Some(idx) = queue.pop_front() {
-                match try_submit(idx, reg) {
-                    Ok((t, p)) => {
-                        tickets.push(t);
-                        pending.push(p);
-                    }
-                    Err(Some(inv)) => fallback.push((idx, inv)),
-                    Err(None) => {} // terminal refusal, already recorded
-                }
+    /// Every entry's put on the engine; `Some(tags)` frames each payload
+    /// with its op id. Retries across epoch re-routes re-encode under the
+    /// *same* tag, which is what lets the exactly-once certifier collapse
+    /// them into one logical write.
+    pub(crate) fn put_all<K: AsRef<str>>(
+        &self,
+        entries: &[(K, Bytes)],
+        tags: Option<&[OpTag]>,
+    ) -> Result<Vec<Result<(), KvError>>, KvError> {
+        let ops = (entries.iter().enumerate())
+            .map(|(i, (key, value))| (key.as_ref(), Req::Put(value.clone(), tags.map(|t| t[i]))));
+        Ok(self
+            .run_store(ops)?
+            .into_iter()
+            .map(|r| r.map(drop))
+            .collect())
+    }
+
+    // -- The op engine -----------------------------------------------------
+
+    /// Drives `ops` to completion from the calling thread over the
+    /// [`PipelinedClient`] fan spanning every node: each op advances its
+    /// state machine (see [`Phase`]) whenever its attempt settles or its
+    /// timer fires, and the loop sleeps in
+    /// [`wait_any`](PipelinedClient::wait_any) until the next completion
+    /// or the earliest backoff/poll deadline.
+    ///
+    /// The runner admits ONE op per register at a time (§III-A
+    /// per-register sequentiality), so ops sharing a queue register run
+    /// one at a time in input order — queueing client-side instead of
+    /// eating self-inflicted `Busy` rejections.
+    fn drive(&self, mut ops: Vec<EngineOp<'_>>) -> Vec<Result<Done, KvError>> {
+        let fan = &*self.fan;
+        let metered = self.obs.handle.metrics.is_enabled();
+        // Each op's successor on its queue register; the ops heading a
+        // queue start right away. A failed op holds its successor back
+        // until the failures are recorded (see below).
+        let mut by_queue: Vec<usize> = (0..ops.len()).collect();
+        by_queue.sort_by_key(|&i| (ops[i].queue, i));
+        let mut next = vec![None; ops.len()];
+        let mut ready: Vec<(usize, Option<Attempt>)> = Vec::new();
+        for (k, &i) in by_queue.iter().enumerate() {
+            match k.checked_sub(1).map(|k| by_queue[k]) {
+                Some(prev) if ops[prev].queue == ops[i].queue => next[prev] = Some(i),
+                _ => ready.push((i, None)),
             }
         }
-        let metered = self.obs.handle.metrics.is_enabled();
-        while !pending.is_empty() {
-            if metered {
-                self.obs.inflight.set(pending.len() as u64);
-                self.obs.pipeline_depth.record(pending.len() as u64);
-            }
-            let Some((pos, outcome)) = fan.wait_any(&tickets) else {
-                for (ticket, p) in tickets.drain(..).zip(pending.drain(..)) {
-                    fan.cancel(ticket);
-                    self.obs.retries.inc();
-                    self.health.mark(p.node);
-                    fallback.push((p.idx, p.inv));
+        let mut held: Vec<usize> = Vec::new();
+        let (mut tickets, mut owners) = (Vec::new(), Vec::new());
+        loop {
+            while let Some((i, settled)) = ready.pop() {
+                // Whether a `Busy` finds the call with other attempts in
+                // flight (see `attempt_failed`).
+                let crowded = matches!(settled, Some(Err(ClientError::Busy)))
+                    && (ops.iter().enumerate()).any(|(j, op)| {
+                        j != i && op.step.as_ref().is_some_and(|s| s.ticket.is_some())
+                    });
+                let op = &mut ops[i];
+                if op.out.is_some() {
+                    continue;
                 }
-                break;
-            };
-            tickets.swap_remove(pos);
-            let done = pending.swap_remove(pos);
-            match outcome {
-                Ok((OpResult::Written, rounds, _)) => {
-                    self.record_write(rounds);
-                    self.health.clear(done.node);
-                    if let Some(started) = done.started {
-                        self.obs
-                            .put_micros
-                            .record(started.elapsed().as_micros() as u64);
-                    }
-                    self.rec_outcome(done.inv, Ok(OpResult::Written));
+                if let Some(attempt) = settled {
+                    self.settle(op, attempt, crowded);
                 }
-                Ok(_) => fallback.push((done.idx, done.inv)),
-                Err(e) => {
-                    self.obs.retries.inc();
-                    if matches!(e, ClientError::TimedOut | ClientError::ProcessDown) {
-                        self.health.mark(done.node);
-                    } else if done.probe {
-                        self.health.reopen_probe(done.node);
-                    }
-                    fallback.push((done.idx, done.inv));
+                self.advance(fan, op);
+                match op.out {
+                    Some(Ok(())) => ready.extend(next[i].map(|j| (j, None))),
+                    Some(Err(_)) => held.push(i),
+                    None => {}
                 }
             }
-            if let Some(idx) = queues.get_mut(&done.reg).and_then(VecDeque::pop_front) {
-                match try_submit(idx, done.reg) {
-                    Ok((t, p)) => {
-                        tickets.push(t);
-                        pending.push(p);
-                    }
-                    Err(Some(inv)) => fallback.push((idx, inv)),
-                    Err(None) => {}
+            tickets.clear();
+            owners.clear();
+            for (i, op) in ops.iter().enumerate() {
+                if let Some(ticket) = op.step.as_ref().and_then(|step| step.ticket) {
+                    tickets.push(ticket);
+                    owners.push(i);
                 }
+            }
+            // A `Busy` backoff (the only sleep with a step pending) waits
+            // for the rest of the call to settle, and such retries then go
+            // one at a time: another client holds the register, and
+            // retrying alongside this call's other work only races that
+            // client again.
+            let idle = tickets.is_empty();
+            let timer = |op: &EngineOp<'_>| op.wake.filter(|_| idle || op.step.is_none());
+            let wake = ops.iter().filter_map(timer).min();
+            if idle {
+                if let Some(wake) = wake {
+                    std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+                } else if held.is_empty() {
+                    break;
+                } else {
+                    // Everything else has settled: record the failures now
+                    // (no reply of this client's process may follow its
+                    // crash/recovery idiom), and only then start the ops
+                    // queued behind them on their registers.
+                    for op in &mut ops {
+                        if let Some(Err(e)) = &op.out {
+                            self.rec_outcome(op.inv.take(), Err(e));
+                        }
+                    }
+                    let released = held.drain(..).filter_map(|i| next[i]);
+                    ready.extend(released.map(|j| (j, None)));
+                }
+            } else {
+                if metered {
+                    self.obs.inflight.set(tickets.len() as u64);
+                    self.obs.pipeline_depth.record(tickets.len() as u64);
+                }
+                match fan.wait_any(&tickets, wake) {
+                    Some((pos, attempt)) => ready.push((owners[pos], Some(attempt))),
+                    // The patience window passed with nothing settling:
+                    // every attempt in flight timed out (late acks are
+                    // counted, never misdelivered).
+                    None if wake.is_none_or(|wake| Instant::now() < wake) => {
+                        for (&ticket, &i) in tickets.iter().zip(&owners) {
+                            fan.cancel(ticket);
+                            ready.push((i, Some(Err(ClientError::TimedOut))));
+                        }
+                    }
+                    None => {}
+                }
+            }
+            let (now, mut busy_retry) = (Instant::now(), false);
+            for (i, op) in ops.iter_mut().enumerate() {
+                if timer(op).is_none_or(|wake| wake > now) {
+                    continue;
+                }
+                if op.step.is_some() {
+                    if busy_retry {
+                        continue;
+                    }
+                    busy_retry = true;
+                }
+                op.wake = None;
+                ready.push((i, None));
             }
         }
         if metered {
             self.obs.inflight.set(0);
         }
-        for queue in queues.values_mut() {
-            fallback.extend(queue.drain(..).map(|idx| (idx, None)));
-        }
-        for (idx, mut inv) in fallback {
-            let (key, value) = &entries[idx];
-            if let Err(e) = self.put_settled(key.as_ref(), value.clone(), &mut inv) {
-                first_err = first_err.take().or(Some(e));
+        let answer = |op: EngineOp<'_>| op.out.expect("every op finishes").map(|()| op.done);
+        ops.into_iter().map(answer).collect()
+    }
+
+    /// Runs the op's state machine until it submits an attempt, sleeps,
+    /// or finishes.
+    fn advance(&self, fan: &PipelinedClient, op: &mut EngineOp<'_>) {
+        while op.out.is_none() && op.wake.is_none() {
+            match &op.step {
+                Some(step) if step.ticket.is_some() => return,
+                Some(_) => self.submit(fan, op),
+                None => self.plan(op),
             }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
         }
     }
 
-    /// The thread-per-node batch write (see
-    /// [`multi_get_threaded`](Self::multi_get_threaded)): used mid-split
-    /// and by exactly-once clients.
-    fn multi_put_threaded<K: AsRef<str> + Sync>(
+    /// Picks the op's next register op from its phase.
+    fn plan(&self, op: &mut EngineOp<'_>) {
+        match op.req {
+            Req::Get if op.phase == Phase::Route => self.route_get(op),
+            Req::Put(..) if op.phase == Phase::Route => self.route_put(op),
+            Req::Put(..) if op.phase == Phase::Seal => self.poll_seal(op),
+            Req::Read(reg, rec) => {
+                if rec == Rec::Store {
+                    op.inv = self.rec_invoke(Op::ReadAt(reg));
+                }
+                op.phase = Phase::Data;
+                op.step = Some(self.step(reg, None));
+            }
+            Req::Write(reg, ref payload, guard, rec) => {
+                let payload = payload.clone();
+                if rec == Rec::Store {
+                    op.inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
+                }
+                self.lease_revoke(reg);
+                op.guard = guard;
+                op.phase = Phase::Data;
+                op.step = Some(self.step(reg, Some(payload)));
+            }
+            _ => unreachable!("no register op to plan in phase {:?}", op.phase),
+        }
+    }
+
+    /// Routes a get under the current map: the mid-split old home, a live
+    /// lease, or the key's register.
+    fn route_get(&self, op: &mut EngineOp<'_>) {
+        op.clock = op.clock.or_else(|| self.obs.op_clock());
+        if op.reroutes >= MAP_RETRIES {
+            // Epochs kept moving for every retry: answer with the last
+            // foreign-stamped payload.
+            let last = std::mem::take(&mut op.done.payload);
+            return self.answer(op, last, None);
+        }
+        op.map = self.shard_map();
+        let (map, key) = (op.map, op.label);
+        if map.is_split_source(map.old_shard_of(key)) {
+            let old_reg = map.old_register_for(key);
+            if op.inv.is_none() {
+                op.inv = self.rec_invoke(Op::ReadAt(old_reg));
+            }
+            op.phase = Phase::OldHome;
+            op.step = Some(self.step(old_reg, None));
+            return;
+        }
+        let reg = map.register_for(key);
+        let hit = self.lease_hit(reg, &map);
+        if op.inv.is_none() {
+            op.inv = self.rec_invoke(Op::ReadAt(reg));
+        }
+        match hit {
+            // A live lease answers locally: zero datagrams. The read is
+            // still a recorded store operation — the lease fence is
+            // exactly what makes it certifiable.
+            Some(payload) => {
+                let value = codec::value_for_key(&payload, key);
+                self.answer(op, payload, value);
+            }
+            None => {
+                op.phase = Phase::Data;
+                op.step = Some(self.step(reg, None));
+            }
+        }
+    }
+
+    /// Routes a put under the current map: through the split barrier when
+    /// its source shard is splitting, else straight to the guarded write.
+    fn route_put(&self, op: &mut EngineOp<'_>) {
+        op.clock = op.clock.or_else(|| self.obs.op_clock());
+        op.map = self.shard_map();
+        // After MAP_RETRIES re-routes (pathological epoch churn) stop
+        // chasing: write unguarded under the freshest map.
+        let guarded = op.reroutes < MAP_RETRIES;
+        if guarded && op.map.is_split_source(op.map.old_shard_of(op.label)) {
+            op.phase = Phase::Seal;
+            op.polls = 0;
+        } else {
+            self.write_entry(op, guarded);
+        }
+    }
+
+    /// Encodes the put's entry under its map and sets up the write. The
+    /// invocation opens before the first write attempt and stays open
+    /// across re-routes: ONE store operation however many rounds serve
+    /// it.
+    fn write_entry(&self, op: &mut EngineOp<'_>, guarded: bool) {
+        let Req::Put(ref value, tag) = op.req else {
+            unreachable!("only puts write entries")
+        };
+        let (reg, stamp) = (op.map.register_for(op.label), op.map.stamp());
+        let payload = match tag {
+            Some(tag) => codec::encode_entry_tagged(op.label, value, stamp, tag),
+            None => codec::encode_entry(op.label, value, stamp),
+        };
+        if op.inv.is_none() {
+            op.inv = self.rec_invoke(Op::WriteAt(reg, payload.clone()));
+        }
+        // The cached value for this register is about to go stale —
+        // revoke before the write leaves.
+        self.lease_revoke(reg);
+        op.guard = guarded.then_some(op.map.epoch);
+        op.phase = Phase::Data;
+        op.step = Some(self.step(reg, Some(payload)));
+    }
+
+    /// The next seal poll of the migration write barrier (bounded; see
+    /// [`KvError::Barrier`]).
+    fn poll_seal(&self, op: &mut EngineOp<'_>) {
+        // The shared cache moves the moment any clone observes a newer
+        // map (e.g. the migration driver committing): re-route rather
+        // than poll for a seal that may already be superseded.
+        if self.shard_map() != op.map {
+            op.reroutes += 1;
+            op.phase = Phase::Route;
+            return;
+        }
+        let shard = op.map.old_shard_of(op.label);
+        if op.polls == self.barrier_polls {
+            // Exhausted without a seal: the stall itself is worth a trace.
+            self.barrier_event(EventKind::BarrierWait, op, self.barrier_polls);
+            let key = op.label.to_string();
+            return self.finish(op, Err(KvError::Barrier { key, shard }));
+        }
+        self.obs.barrier_polls.inc();
+        op.step = Some(self.step(data_register(shard), None));
+    }
+
+    /// Records a write-barrier flight event for the put's splitting
+    /// source shard (`aux`: polls).
+    fn barrier_event(&self, kind: EventKind, op: &EngineOp<'_>, aux: u32) {
+        let reg = op.map.old_register_for(op.label);
+        let event = FlightEvent::new(kind).with_register(reg.0);
+        let event = event.with_epoch(op.map.epoch as u32);
+        self.obs
+            .handle
+            .flight
+            .record(event.with_aux(u64::from(aux)));
+    }
+
+    /// Starts a shard-map re-read on the op's behalf.
+    fn start_refresh(&self, op: &mut EngineOp<'_>) {
+        self.obs.map_refreshes.inc();
+        op.phase = Phase::Refresh;
+        op.step = Some(self.step(CONFIG_REGISTER, None));
+    }
+
+    /// A register op's failover rotation. It starts at the register's
+    /// home node (`register % nodes`, so shard traffic spreads across
+    /// the cluster); every node can serve every register, so as long as
+    /// a majority is up the op terminates through *some* node. Nodes the
+    /// shared [`HealthMemory`] marks as recently failed go last (never
+    /// skipped) — so a wedged node costs a batch one patience window,
+    /// not one per key. A node whose mark has decayed must first serve
+    /// one **probe** before rejoining full rotation: exactly one caller
+    /// wins it (and tries the node first), everyone else keeps trying it
+    /// last until the probe clears it.
+    fn step(&self, reg: RegisterId, write: Option<Value>) -> Step {
+        let n = self.nodes.len();
+        let home = reg.0 as usize % n;
+        let mut order = Vec::with_capacity(n);
+        let mut suspects = Vec::new();
+        let mut probe = None;
+        for node in (0..n).map(|o| (home + o) % n) {
+            match self.health.gate(node) {
+                NodeGate::Fresh => order.push(node),
+                NodeGate::NeedsProbe if probe.is_none() && self.health.try_begin_probe(node) => {
+                    probe = Some(node);
+                }
+                _ => suspects.push(node),
+            }
+        }
+        if let Some(node) = probe {
+            order.insert(0, node);
+        }
+        order.extend(suspects);
+        Step {
+            reg,
+            write,
+            order,
+            probe,
+            ..Step::default()
+        }
+    }
+
+    /// Submits the op's register op to the current node of its rotation.
+    ///
+    /// A guarded write checks its epoch before *every* attempt, `Busy`
+    /// retries and failover hops included: its effect then lands within
+    /// one clean attempt of a passing check, so a write stalled behind a
+    /// dead node or a `Busy` storm cannot surface on a source register
+    /// long after the shard was sealed. A failed check issues nothing: a
+    /// put re-routes under the fresh map, a raw write answers
+    /// not-landed.
+    fn submit(&self, fan: &PipelinedClient, op: &mut EngineOp<'_>) {
+        if op
+            .guard
+            .is_some_and(|epoch| self.shard_map().epoch != epoch)
+        {
+            op.step = None;
+            op.guard = None;
+            if let Req::Put(..) = op.req {
+                op.reroutes += 1;
+                op.phase = Phase::Route;
+            } else {
+                self.finish(op, Ok(()));
+            }
+            return;
+        }
+        let step = op.step.as_mut().expect("submitting a planned step");
+        let node = step.order[step.hop];
+        step.sent = Some(Instant::now());
+        let submitted = match &step.write {
+            Some(value) => fan.submit_write(node, step.reg, value.clone()),
+            None => fan.submit_read(node, step.reg),
+        };
+        match submitted {
+            Ok(ticket) => step.ticket = Some(ticket),
+            Err(e) => self.attempt_failed(op, e, false),
+        }
+    }
+
+    /// Feeds a settled (or timed-out) attempt into its op's state machine.
+    fn settle(&self, op: &mut EngineOp<'_>, attempt: Attempt, crowded: bool) {
+        let step = op.step.as_mut().expect("a settled op has a step");
+        step.ticket = None;
+        let node = step.order[step.hop];
+        match (attempt, step.write.is_some()) {
+            (Ok((OpResult::ReadValue(payload), rounds, lease)), false) => {
+                self.health.clear(node);
+                let step = op.step.take().expect("checked above");
+                self.on_read(op, step, payload, rounds, lease);
+            }
+            (Ok((OpResult::Written, rounds, _)), true) => {
+                self.health.clear(node);
+                self.record_write(rounds);
+                op.done.landed = true;
+                self.finish(op, Ok(()));
+            }
+            // A result that does not answer the op: the node failed it.
+            (Ok(_), _) => self.attempt_failed(op, ClientError::ProcessDown, crowded),
+            (Err(e), _) => self.attempt_failed(op, e, crowded),
+        }
+    }
+
+    /// A failed node attempt. `Busy` (another op on this register of the
+    /// node) retries on the same node after a jittered backoff, then
+    /// fails over like any other unavailability; a timeout or a dead node
+    /// marks the node and fails over (register ops are idempotent, so a
+    /// retry after an ambiguous timeout is safe). `TooLarge` ends the op
+    /// without marking: the value cannot fit *any* node's frame.
+    fn attempt_failed(&self, op: &mut EngineOp<'_>, e: ClientError, crowded: bool) {
+        let step = op.step.as_mut().expect("a failed attempt has a step");
+        let node = step.order[step.hop];
+        match e {
+            ClientError::Busy if step.busy < self.busy_retries => {
+                step.busy += 1;
+                self.obs.retries.inc();
+                // A first `Busy` while the call has other ops in flight
+                // needs no timer: the retry waits for them to settle (see
+                // `drive`), which is backoff enough.
+                let backoff = if step.busy == 1 && crowded {
+                    Duration::ZERO
+                } else {
+                    self.backoff(step.busy)
+                };
+                op.wake = Some(Instant::now() + backoff);
+            }
+            ClientError::TooLarge { size, limit } => {
+                // A client-side refusal: a won probe never reached the
+                // node, so hand the debt back.
+                if step.probe == Some(node) {
+                    self.health.reopen_probe(node);
+                }
+                let key = op.label.to_string();
+                self.finish(op, Err(KvError::TooLarge { key, size, limit }));
+            }
+            source => {
+                self.obs.retries.inc();
+                if matches!(source, ClientError::TimedOut | ClientError::ProcessDown) {
+                    self.health.mark(node);
+                } else if step.probe == Some(node) {
+                    // Inconclusive probe (Busy exhaustion): the node
+                    // still owes one.
+                    self.health.reopen_probe(node);
+                }
+                step.hop += 1;
+                step.busy = 0;
+                if step.hop == step.order.len() {
+                    let key = op.label.to_string();
+                    self.finish(op, Err(KvError::Register { key, source }));
+                }
+            }
+        }
+    }
+
+    /// A completed register read, by the phase that issued it.
+    fn on_read(
         &self,
-        entries: &[(K, Bytes)],
-    ) -> Result<(), KvError> {
-        self.sync_map()?;
-        let map = self.shard_map();
-        let groups = self.group_by_node(entries.iter().map(|(k, _)| map.register_for(k.as_ref())));
-        let outcomes: Vec<Result<(), KvError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .values()
-                .map(|indices| {
-                    scope.spawn(move || {
-                        for &i in indices {
-                            let (key, value) = &entries[i];
-                            self.put(key.as_ref(), value.clone())?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("kv batch thread panicked"))
-                .collect()
-        });
-        outcomes.into_iter().collect()
+        op: &mut EngineOp<'_>,
+        step: Step,
+        payload: Value,
+        rounds: u32,
+        lease: Option<LeaseGrant>,
+    ) {
+        if !matches!(op.req, Req::Read(_, Rec::Silent)) {
+            self.record_read(rounds);
+        }
+        let (map, key) = (op.map, op.label);
+        match (&op.req, op.phase) {
+            (Req::Get, Phase::Data) => {
+                // With no grant, whatever lease the cache holds is left
+                // to expire on its own horizon (the fence outlives it).
+                if let (Some(grant), Some(t0)) = (lease, step.sent) {
+                    self.lease_fill(step.reg, grant, payload.clone(), &map, t0);
+                }
+                let value = codec::value_for_key(&payload, key);
+                // Key absent: under the expected stamp a plain miss
+                // (collision displacement); under a foreign stamp our map
+                // may be stale — refresh and re-route.
+                if value.is_none()
+                    && !payload.is_bottom()
+                    && codec::payload_epoch(&payload) != Some(map.stamp())
+                {
+                    op.done.payload = payload;
+                    return self.start_refresh(op);
+                }
+                self.answer(op, payload, value);
+            }
+            (Req::Get, Phase::Refresh) => {
+                if self.adopt_published(&payload) {
+                    op.reroutes += 1;
+                    op.phase = Phase::Route;
+                } else {
+                    let last = std::mem::take(&mut op.done.payload);
+                    self.answer(op, last, None);
+                }
+            }
+            (Req::Get, Phase::OldHome) => {
+                // Unsealed, the old home is authoritative (writers are
+                // barriered); sealed, the new routing is live for this
+                // shard, so a key the seal does not carry is read at its
+                // new home.
+                let value = codec::value_for_key(&payload, key);
+                let new_reg = map.register_for(key);
+                if value.is_none()
+                    && new_reg != step.reg
+                    && map.seals_source(&payload, map.old_shard_of(key))
+                {
+                    op.phase = Phase::Forward;
+                    op.step = Some(self.step(new_reg, None));
+                } else {
+                    self.answer(op, payload, value);
+                }
+            }
+            (Req::Get, _) => {
+                let value = codec::value_for_key(&payload, key);
+                self.answer(op, payload, value);
+            }
+            (Req::Put(..), Phase::Seal) => {
+                let poll = op.polls;
+                op.polls += 1;
+                if map.seals_source(&payload, map.old_shard_of(key)) {
+                    if poll > 0 {
+                        // How long the writer actually stalled, in polls.
+                        self.barrier_event(EventKind::BarrierWait, op, poll);
+                    }
+                    self.barrier_event(EventKind::SealObserved, op, 0);
+                    return self.write_entry(op, true);
+                }
+                if poll == 0 {
+                    // The writer actually waits on this barrier.
+                    self.obs.barrier_waits.inc();
+                }
+                // Every eighth poll re-reads the authoritative map in case
+                // this client is the only one still watching.
+                if poll % 8 == 7 {
+                    return self.start_refresh(op);
+                }
+                op.wake = Some(Instant::now() + seal_backoff(poll));
+            }
+            (Req::Put(..), _) => {
+                self.adopt_published(&payload);
+                op.phase = Phase::Seal;
+                op.wake = Some(Instant::now() + seal_backoff(op.polls - 1));
+            }
+            _ => {
+                op.done.payload = payload;
+                self.finish(op, Ok(()));
+            }
+        }
+    }
+
+    /// Finishes a get with the payload that answered it.
+    fn answer(&self, op: &mut EngineOp<'_>, payload: Value, value: Option<Bytes>) {
+        op.done.payload = payload;
+        op.done.value = value;
+        self.finish(op, Ok(()));
+    }
+
+    /// Ends an op: the wall-clock latency of a get/put, and the recorded
+    /// reply of a success (failures are recorded when the run ends).
+    fn finish(&self, op: &mut EngineOp<'_>, out: Result<(), KvError>) {
+        op.step = None;
+        if let Some(started) = op.clock {
+            let micros = started.elapsed().as_micros() as u64;
+            match op.req {
+                Req::Get => self.obs.get_micros.record(micros),
+                _ => self.obs.put_micros.record(micros),
+            }
+        }
+        if let (Ok(()), Some(inv)) = (&out, op.inv.take()) {
+            let reply = match op.req {
+                Req::Get | Req::Read(..) => OpResult::ReadValue(op.done.payload.clone()),
+                _ if op.done.landed => OpResult::Written,
+                // An aborted guarded write was never issued.
+                _ => OpResult::Rejected(rmem_types::RejectReason::Busy),
+            };
+            self.rec_outcome(Some(inv), Ok(reply));
+        }
+        op.out = Some(out);
+    }
+}
+
+/// Spacing of the write barrier's seal polls: escalating, capped. The
+/// migrator seals a shard in a handful of register rounds, so the common
+/// case is one short wait.
+fn seal_backoff(poll: u32) -> Duration {
+    Duration::from_micros((100u64 << poll.min(5)).min(2_000))
+}
+
+/// A settled attempt: the op outcome, its quorum rounds, and the lease
+/// grant a leasing flavor minted for it.
+type Attempt = Result<(OpResult, u32, Option<LeaseGrant>), ClientError>;
+
+/// How the engine accounts a raw register op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rec {
+    /// A recorded store operation (the public `raw_*` calls).
+    Store,
+    /// Unrecorded infrastructure, counted in the stats: shard-map reads
+    /// and publishes, migration copies and seals. At the store level a
+    /// copy or seal relocates a value rather than writes one; recording
+    /// it would let a buggy (non-tag-monotonic) copy read as a legitimate
+    /// write, hiding exactly the lost updates the cross-epoch certifier
+    /// exists to catch.
+    Infra,
+    /// Neither recorded nor counted: the first-op shard-map sync.
+    Silent,
+}
+
+/// What one engine op asks for (its key or error label rides in
+/// [`EngineOp::label`]).
+enum Req {
+    /// A store get of the key.
+    Get,
+    /// A store put of the key; `Some(tag)` frames the payload with the
+    /// exactly-once op id.
+    Put(Bytes, Option<OpTag>),
+    /// A raw register read.
+    Read(RegisterId, Rec),
+    /// A raw register write; `Some(epoch)` aborts it un-issued once the
+    /// shard map's epoch moves past `epoch`.
+    Write(RegisterId, Value, Option<u64>, Rec),
+}
+
+/// Where an op stands. Each phase but `Route` has a register op in
+/// flight (or retrying); on its completion the op is done, backs off on
+/// `Busy` at the same node, fails over to the next node, polls the
+/// barrier again, forwards a split read, refreshes the map and re-routes,
+/// or — a guarded write whose epoch moved — re-routes without issuing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Pick the op's path under the current shard map.
+    Route,
+    /// The op's own read or write.
+    Data,
+    /// The migration write barrier: polling the old home for its seal.
+    Seal,
+    /// A mid-split get reading the key's old home.
+    OldHome,
+    /// A sealed old home forwarded the get to the key's new home.
+    Forward,
+    /// Re-reading the shard map (a get's foreign stamp, or every eighth
+    /// seal poll).
+    Refresh,
+}
+
+/// One register op of an engine op, walking its failover rotation.
+#[derive(Default)]
+struct Step {
+    reg: RegisterId,
+    /// The value a write carries (`None` for a read).
+    write: Option<Value>,
+    /// Nodes in try order (see [`KvClient::step`]); `hop` is the current.
+    order: Vec<usize>,
+    hop: usize,
+    /// `Busy` retries spent on the current node.
+    busy: u32,
+    /// The node this step owes a health probe to, if it won one.
+    probe: Option<usize>,
+    ticket: Option<Ticket>,
+    /// When the current attempt was submitted: a lease granted with its
+    /// completion expires `grant.micros` after *this* moment, never after
+    /// an earlier failed node's attempt.
+    sent: Option<Instant>,
+}
+
+/// What a finished op answered.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Done {
+    /// The payload that answered a read (a get's, fallback hops and
+    /// refresh-retries included).
+    pub(crate) payload: Value,
+    /// A get's value in that payload.
+    pub(crate) value: Option<Bytes>,
+    /// Whether a write landed (`false`: its epoch guard aborted it
+    /// un-issued).
+    landed: bool,
+}
+
+/// One op's state machine.
+struct EngineOp<'a> {
+    req: Req,
+    /// The key of a get/put; the error label of a raw op.
+    label: &'a str,
+    /// The op's FIFO: ops sharing a queue register run in input order.
+    queue: RegisterId,
+    phase: Phase,
+    /// The shard map the op was last routed under.
+    map: ShardMap,
+    /// Re-routes after a shard-map change, bounded by [`MAP_RETRIES`].
+    reroutes: usize,
+    /// Seal polls made in the current barrier wait.
+    polls: u32,
+    /// The epoch the current write is guarded by.
+    guard: Option<u64>,
+    inv: Option<rmem_types::OpId>,
+    /// Latency clock of a get/put (when metrics are on).
+    clock: Option<Instant>,
+    step: Option<Step>,
+    /// Asleep until this instant (a `Busy` backoff or barrier spacing).
+    wake: Option<Instant>,
+    done: Done,
+    out: Option<Result<(), KvError>>,
+}
+
+impl<'a> EngineOp<'a> {
+    fn new(req: Req, label: &'a str, queue: RegisterId) -> Self {
+        EngineOp {
+            req,
+            label,
+            queue,
+            phase: Phase::Route,
+            map: ShardMap::genesis(1),
+            reroutes: 0,
+            polls: 0,
+            guard: None,
+            inv: None,
+            clock: None,
+            step: None,
+            wake: None,
+            done: Done::default(),
+            out: None,
+        }
     }
 }
 

@@ -122,28 +122,16 @@ pub const BUNDLE_ENTRY_OVERHEAD: usize = 6;
 ///
 /// Panics if `key` exceeds [`MAX_KEY_LEN`].
 pub fn encode_entry(key: &str, value: &Bytes, epoch: u8) -> Value {
-    let mut buf = BytesMut::with_capacity(3 + key.len() + value.len());
-    encode_entry_into(&mut buf, key, value, epoch);
-    Value::new(buf.freeze().to_vec())
-}
-
-/// As [`encode_entry`], but appends the wire form into a caller-owned
-/// buffer instead of allocating — the pipelined client's zero-copy
-/// submission path builds entries directly in its reusable per-slot
-/// scratch this way.
-///
-/// # Panics
-///
-/// Panics if `key` exceeds [`MAX_KEY_LEN`].
-pub fn encode_entry_into(buf: &mut BytesMut, key: &str, value: &Bytes, epoch: u8) {
     assert!(
         key.len() <= MAX_KEY_LEN,
         "key longer than {MAX_KEY_LEN} bytes"
     );
+    let mut buf = BytesMut::with_capacity(3 + key.len() + value.len());
     buf.put_u16(key.len() as u16);
     buf.put_slice(key.as_bytes());
     buf.put_u8(epoch);
     buf.put_slice(value);
+    Value::new(buf.freeze())
 }
 
 /// Encodes a store entry carrying the writer's [op-id

@@ -147,33 +147,51 @@ impl KvClient {
             .map_or_else(Vec::new, |c| c.lock().pending())
     }
 
-    /// The exactly-once `put`: journal (durably, state `Sent`) → tagged
-    /// write → tombstone.
-    pub(crate) fn put_exactly_once(&self, key: &str, value: Bytes) -> Result<(), KvError> {
+    /// The exactly-once `put` of every entry: journal each intent
+    /// (durably, state `Sent`) before any datagram leaves → tagged writes,
+    /// concurrently on the op engine → tombstone each acknowledged op.
+    pub(crate) fn put_exactly_once<K: AsRef<str>>(
+        &self,
+        entries: &[(K, Bytes)],
+    ) -> Result<(), KvError> {
         let ctx = self.ctx();
-        let tag = ctx.alloc();
-        ctx.lock()
-            .begin(Intent {
-                tag,
-                key: key.to_string(),
-                value: value.clone(),
-                state: IntentState::Sent,
-            })
-            .map_err(journal_err)?;
-        let outcome = self.put_inner(key, value, Some(tag), &mut None);
-        match &outcome {
-            Ok(()) => ctx.lock().acknowledge(tag).map_err(journal_err)?,
-            // Refused before anything was sent: settle the op now rather
-            // than leaving a resolve to re-issue an untransmittable write.
-            Err(KvError::TooLarge { .. }) => ctx
-                .lock()
-                .transition(tag, IntentState::Aborted)
-                .map_err(journal_err)?,
-            // Ambiguous (some node attempt may have taken effect): the op
-            // stays `Sent` for resolve.
-            Err(_) => {}
+        let mut tags = Vec::with_capacity(entries.len());
+        for (key, value) in entries {
+            let tag = ctx.alloc();
+            ctx.lock()
+                .begin(Intent {
+                    tag,
+                    key: key.as_ref().to_string(),
+                    value: value.clone(),
+                    state: IntentState::Sent,
+                })
+                .map_err(journal_err)?;
+            tags.push(tag);
         }
-        outcome
+        let mut first_err = None;
+        for (&tag, outcome) in tags.iter().zip(self.put_all(entries, Some(&tags))?) {
+            let settled = match &outcome {
+                Ok(()) => ctx.lock().acknowledge(tag),
+                // Refused before anything was sent: settle the op now
+                // rather than leaving a resolve to re-issue an
+                // untransmittable write.
+                Err(KvError::TooLarge { .. }) => ctx.lock().transition(tag, IntentState::Aborted),
+                // Ambiguous (some node attempt may have taken effect):
+                // the op stays `Sent` for resolve.
+                Err(_) => Ok(()),
+            };
+            if let Err(e) = outcome.and(settled.map_err(journal_err)) {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// One tagged write of `value` under `key` (no journaling).
+    fn put_tagged(&self, key: &str, value: Bytes, tag: OpTag) -> Result<(), KvError> {
+        self.put_all(&[(key, value)], Some(&[tag]))?
+            .pop()
+            .expect("one put in, one answer out")
     }
 
     /// Stage an exactly-once write without sending anything: the intent
@@ -238,7 +256,7 @@ impl KvClient {
             }
             intent
         };
-        let outcome = self.put_inner(&intent.key, intent.value, Some(tag), &mut None);
+        let outcome = self.put_tagged(&intent.key, intent.value, tag);
         if outcome.is_ok() {
             ctx.lock().acknowledge(tag).map_err(journal_err)?;
         }
@@ -291,7 +309,7 @@ impl KvClient {
             // Nothing landed yet (at read time). Completing the op
             // ourselves under the same tag makes the verdict definitive;
             // if the original landing races us, both carry one effect.
-            self.put_inner(&intent.key, intent.value, Some(tag), &mut None)?;
+            self.put_tagged(&intent.key, intent.value, tag)?;
         }
         // A foreign value (or our own tag) means the register moved past
         // ⊥: either our write landed (possibly since overwritten) or it
@@ -323,16 +341,11 @@ impl KvClient {
     /// One recorded, failover-protected read of `key`'s quorum state
     /// returning the raw answering payload (epoch-aware, split-aware).
     fn resolve_read(&self, key: &str) -> Result<rmem_types::Value, KvError> {
-        self.sync_map()?;
-        let mut inv = None;
-        let outcome = self.get_inner(key, &mut inv);
-        match &outcome {
-            Ok((payload, _)) => {
-                self.rec_outcome(inv, Ok(rmem_types::OpResult::ReadValue(payload.clone())))
-            }
-            Err(e) => self.rec_outcome(inv, Err(e)),
-        }
-        outcome.map(|(payload, _)| payload)
+        let answer = self
+            .get_all(&[key])?
+            .pop()
+            .expect("one get in, one answer out");
+        answer.map(|done| done.payload)
     }
 
     /// Fault injection for the chaos matrix: a `put` that "crashes" at
@@ -386,10 +399,10 @@ impl KvClient {
             CrashPoint::MidRound => {
                 let key = key.to_string();
                 std::thread::spawn(move || {
-                    let _ = orphan.put_inner(&key, value, Some(tag), &mut None);
+                    let _ = orphan.put_tagged(&key, value, tag);
                 });
             }
-            CrashPoint::PostQuorum => orphan.put_inner(key, value, Some(tag), &mut None)?,
+            CrashPoint::PostQuorum => orphan.put_tagged(key, value, tag)?,
         }
         Ok(tag)
     }

@@ -6,9 +6,9 @@
 //! before failing over, even within one `multi_get`. [`HealthMemory`] is
 //! the shared fix: a per-node "recently failed" mark with decay. The first
 //! operation to time out on a node marks it; every subsequent operation —
-//! including the concurrent per-shard threads of a multi-key batch — tries
-//! the marked node *last* instead of first, so a wedged node costs one
-//! timeout per batch rather than one per key.
+//! including the other keys of a multi-key batch — tries the marked node
+//! *last* instead of first, so a wedged node costs one timeout per batch
+//! rather than one per key.
 //!
 //! # Probe gating
 //!

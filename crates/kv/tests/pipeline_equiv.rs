@@ -1,11 +1,11 @@
-//! Depth-1 equivalence: the pipelined multi-key driver, run one op at a
-//! time, is observationally the blocking client.
+//! Depth-1 equivalence: the multi-key API, run one op at a time, is
+//! observationally the single-key API.
 //!
-//! The pipelined `multi_get`/`multi_put` share their register machinery
-//! with `get`/`put` but drive it through a completely different engine
-//! (event-driven reactor, completion routing, blocking fallback). This
-//! sweep pins the equivalence at depth 1, where the two paths must be
-//! indistinguishable:
+//! `multi_get`/`multi_put` and `get`/`put` run on the same op engine —
+//! a blocking call is the engine driving one op — but reach it through
+//! different entry points (per-register queues, batch result assembly).
+//! This sweep pins the equivalence at depth 1, where the two APIs must
+//! be indistinguishable:
 //!
 //! * 12 seeds of mixed reader/writer threads, each seed run twice — once
 //!   through depth-1 pipelined batches, once through the blocking calls —
@@ -14,8 +14,8 @@
 //!   **identical** `KvOpStats` round counts on both paths — same reads,
 //!   same writes, same quorum rounds, same fast-read count;
 //! * the fast-read fraction of the concurrent sweep must be preserved
-//!   across the two engines (the pipeline must not perturb the one-round
-//!   fast path).
+//!   across the two APIs (batching must not perturb the one-round fast
+//!   path).
 
 use std::time::Duration;
 

@@ -544,15 +544,14 @@ impl Pipeline {
 
     /// Blocks until *some* ticket in `tickets` completes, returning its
     /// index and settled result (the others stay in flight). `None` if
-    /// `timeout` passes first — unlike [`wait`](Self::wait) nothing is
+    /// `deadline` passes first — unlike [`wait`](Self::wait) nothing is
     /// cancelled; the caller decides what to abandon.
     pub(crate) fn wait_any(
         &self,
         tickets: &[Ticket],
-        timeout: Duration,
+        deadline: Instant,
         trace: Option<&TraceCtx>,
     ) -> Option<AnyCompletion> {
-        let deadline = Instant::now() + timeout;
         let mut g = self.inner.lock().expect("pipeline lock");
         loop {
             self.drain_ready(&mut g);
@@ -789,11 +788,14 @@ impl PipelinedClient {
 
     /// Blocks until *some* listed ticket completes, returning its index
     /// in `tickets` and its settled result; the others stay in flight.
-    /// `None` if the patience window passes first — nothing is cancelled
-    /// then, the caller decides what to abandon.
-    pub fn wait_any(&self, tickets: &[Ticket]) -> Option<AnyCompletion> {
-        self.pipe
-            .wait_any(tickets, self.timeout, self.trace.as_deref())
+    /// `None` if the patience window passes first, or `deadline` (when
+    /// given) comes before it — nothing is cancelled then, the caller
+    /// decides what to abandon. The deadline lets an event loop sleep
+    /// exactly until its next timer (a backoff or poll) is due.
+    pub fn wait_any(&self, tickets: &[Ticket], deadline: Option<Instant>) -> Option<AnyCompletion> {
+        let patience = Instant::now() + self.timeout;
+        let deadline = deadline.map_or(patience, |d| d.min(patience));
+        self.pipe.wait_any(tickets, deadline, self.trace.as_deref())
     }
 
     /// Settles every listed ticket (in order), waiting where necessary:
