@@ -9,10 +9,10 @@
 //! 1. **The runner's operation table** (in `rmem-net`, mirrored by the
 //!    simulator's engine): the per-process pending slot became a
 //!    per-*register* table, so independent shards hosted by one node serve
-//!    operations concurrently — `Busy` remains only for two operations on
-//!    the *same* register. That is the paper's sequentiality applied at
-//!    the granularity it actually proves things for: each register is its
-//!    own emulation.
+//!    operations concurrently — a second operation on the *same* register
+//!    waits in that register's FIFO until the first completes. That is the
+//!    paper's sequentiality applied at the granularity it actually proves
+//!    things for: each register is its own emulation.
 //! 2. **The batching engine** (this crate): [`BatchedKv`] coalesces the
 //!    store operations of a batch that land on one shard into a single
 //!    register operation — one `SnReq` round amortized over k puts of a

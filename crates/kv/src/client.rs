@@ -11,24 +11,26 @@
 //! thread advances all of a call's ops over a single
 //! [`PipelinedClient`] fan spanning every node. A blocking `get`/`put`
 //! is that loop driving one op; a multi-key call drives one per key,
-//! queued client-side one op per register at a time (the paper's
-//! §III-A sequentiality is per register). An op's states:
+//! queued client-side one op per register at a time (see
+//! [`KvClient::drive`] for why). An op's states:
 //!
 //! 1. **route** under the cached shard map;
 //! 2. **lease check** — a get served by a live tag lease ends here, with
 //!    zero datagrams;
 //! 3. **submit** to the next node of the health-gated failover rotation
 //!    (a guarded write re-checks its epoch before every attempt);
-//! 4. on completion: **done**, **`Busy` backoff** on the same node,
-//!    **fail over** to the next node, **barrier seal-poll** again,
-//!    **split forward-read**, **refresh and re-route** on a foreign epoch
-//!    stamp, or **abort and re-route** when a guarded write's epoch moved
-//!    before it was issued.
+//! 4. on completion: **done**, **fail over** to the next node,
+//!    **barrier seal-poll** again, **split forward-read**, **refresh and
+//!    re-route** on a foreign epoch stamp, or **abort and re-route** when
+//!    a guarded write's epoch moved before it was issued.
 //!
-//! The loop sleeps in [`PipelinedClient::wait_any`] until the next
-//! completion or the earliest backoff or seal-poll deadline. Each store
-//! op is ONE recorded invocation however many register rounds serve it;
-//! migration copies and seals are never recorded.
+//! A node that already has an op in flight on the register queues the
+//! next one behind it, so contention between clients costs waiting at
+//! the node, never a retry. The loop sleeps in
+//! [`PipelinedClient::wait_any`] until the next completion or the
+//! earliest seal-poll deadline. Each store op is ONE recorded invocation
+//! however many register rounds serve it; migration copies and seals are
+//! never recorded.
 //!
 //! # Epochs
 //!
@@ -176,10 +178,11 @@ pub struct KvOpStats {
     pub barrier_polls: u64,
     /// Shard-map refreshes from the config register.
     pub map_refreshes: u64,
-    /// Failed node attempts that made an operation retry — `Busy`
-    /// re-tries on one node plus failover hops to the next.
+    /// Failover hops: node attempts that timed out or found the node
+    /// down, so the operation moved on to the next node.
     pub retries: u64,
-    /// Total microseconds slept in retry backoff (see `kv.backoff_micros`).
+    /// Total microseconds of seal-poll spacing scheduled by barriered
+    /// writes (see `kv.backoff_micros`) — the engine's only sleep.
     pub backoff_micros: u64,
     /// Reads served from the client's tag-lease cache with **zero**
     /// datagrams (counted into `reads` with 0 rounds). Always 0 unless
@@ -380,7 +383,6 @@ pub struct KvClient {
     /// client's already-committed split (reads self-heal via stamp
     /// mismatches; writes are blind). The first operation syncs.
     synced: Arc<std::sync::atomic::AtomicBool>,
-    busy_retries: u32,
     barrier_polls: u32,
     health: Arc<HealthMemory>,
     obs: Arc<ClientObs>,
@@ -429,7 +431,6 @@ impl KvClient {
             nodes,
             map: Arc::new(Mutex::new(ShardMap::genesis(router.shards()))),
             synced: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            busy_retries: 32,
             barrier_polls: 512,
             health,
             obs: Arc::new(ClientObs::new(ObsHandle::new())),
@@ -512,13 +513,6 @@ impl KvClient {
     /// Panics if `capacity` is zero.
     pub fn with_lease_cache(mut self, capacity: usize) -> Self {
         self.leases = Some(Arc::new(LeaseCache::new(capacity)));
-        self
-    }
-
-    /// Replaces the number of retries on `Busy` rejections (another client
-    /// racing an operation through the same node; default 32).
-    pub fn with_busy_retries(mut self, busy_retries: u32) -> Self {
-        self.busy_retries = busy_retries;
         self
     }
 
@@ -716,32 +710,6 @@ impl KvClient {
         }
     }
 
-    /// Bounded exponential backoff with jitter before retry `attempt`
-    /// (1-based): base 50 µs doubling to a 2 ms ceiling, the actual wait
-    /// drawn uniformly from `[cap/2, cap]`. The jitter is what prevents
-    /// livelock under contention — two clients Busy-bouncing on one
-    /// register with deterministic sleeps would stay phase-locked and
-    /// collide on every retry.
-    fn backoff(&self, attempt: u32) -> Duration {
-        use rand::{Rng, SeedableRng};
-        // Each thread jitters from its own stream (seeded off a global
-        // counter): contending threads decorrelate instead of sharing a
-        // sequence.
-        static NEXT_SEED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-        thread_local! {
-            static JITTER: std::cell::RefCell<rand::rngs::StdRng> =
-                std::cell::RefCell::new(rand::rngs::StdRng::seed_from_u64(
-                    NEXT_SEED
-                        .fetch_add(1, Ordering::Relaxed)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ));
-        }
-        let cap = (50u64 << attempt.min(6).saturating_sub(1)).min(2_000);
-        let sleep = JITTER.with(|rng| rng.borrow_mut().gen_range(cap / 2..=cap));
-        self.obs.backoff_micros.add(sleep);
-        Duration::from_micros(sleep)
-    }
-
     /// The current cached shard map (shared with clones).
     pub fn shard_map(&self) -> ShardMap {
         *self.map.lock().expect("shard map lock")
@@ -870,11 +838,9 @@ impl KvClient {
             Ok(result) => recorder.reply(inv, result),
             // Refused before/without taking effect: the checkers ignore
             // rejected invocations.
-            Err(KvError::TooLarge { .. })
-            | Err(KvError::Register {
-                source: ClientError::Busy,
-                ..
-            }) => recorder.reply(inv, OpResult::Rejected(rmem_types::RejectReason::Busy)),
+            Err(KvError::TooLarge { .. }) => {
+                recorder.reply(inv, OpResult::Rejected(rmem_types::RejectReason::Busy))
+            }
             // Ambiguous (may or may not have applied): leave the op
             // pending and record the model's crash/recovery idiom.
             Err(_) => recorder.abandon(*pid),
@@ -1285,12 +1251,15 @@ impl KvClient {
     /// state machine (see [`Phase`]) whenever its attempt settles or its
     /// timer fires, and the loop sleeps in
     /// [`wait_any`](PipelinedClient::wait_any) until the next completion
-    /// or the earliest backoff/poll deadline.
+    /// or the earliest seal-poll deadline.
     ///
-    /// The runner admits ONE op per register at a time (§III-A
-    /// per-register sequentiality), so ops sharing a queue register run
-    /// one at a time in input order — queueing client-side instead of
-    /// eating self-inflicted `Busy` rejections.
+    /// Ops sharing a queue register run one at a time in input order,
+    /// although the runner would queue them itself. A recording client is
+    /// ONE history process, and §III-A well-formedness needs that
+    /// process's ops on a register to be sequential: each invoked only
+    /// after the one before it replied. The same FIFO is what makes a
+    /// `multi_put`'s same-register entries land in input order across
+    /// failover — a runner's queue orders only the ops at its own node.
     fn drive(&self, mut ops: Vec<EngineOp<'_>>) -> Vec<Result<Done, KvError>> {
         let fan = &*self.fan;
         let metered = self.obs.handle.metrics.is_enabled();
@@ -1311,18 +1280,12 @@ impl KvClient {
         let (mut tickets, mut owners) = (Vec::new(), Vec::new());
         loop {
             while let Some((i, settled)) = ready.pop() {
-                // Whether a `Busy` finds the call with other attempts in
-                // flight (see `attempt_failed`).
-                let crowded = matches!(settled, Some(Err(ClientError::Busy)))
-                    && (ops.iter().enumerate()).any(|(j, op)| {
-                        j != i && op.step.as_ref().is_some_and(|s| s.ticket.is_some())
-                    });
                 let op = &mut ops[i];
                 if op.out.is_some() {
                     continue;
                 }
                 if let Some(attempt) = settled {
-                    self.settle(op, attempt, crowded);
+                    self.settle(op, attempt);
                 }
                 self.advance(fan, op);
                 match op.out {
@@ -1339,15 +1302,8 @@ impl KvClient {
                     owners.push(i);
                 }
             }
-            // A `Busy` backoff (the only sleep with a step pending) waits
-            // for the rest of the call to settle, and such retries then go
-            // one at a time: another client holds the register, and
-            // retrying alongside this call's other work only races that
-            // client again.
-            let idle = tickets.is_empty();
-            let timer = |op: &EngineOp<'_>| op.wake.filter(|_| idle || op.step.is_none());
-            let wake = ops.iter().filter_map(timer).min();
-            if idle {
+            let wake = ops.iter().filter_map(|op| op.wake).min();
+            if tickets.is_empty() {
                 if let Some(wake) = wake {
                     std::thread::sleep(wake.saturating_duration_since(Instant::now()));
                 } else if held.is_empty() {
@@ -1384,19 +1340,12 @@ impl KvClient {
                     None => {}
                 }
             }
-            let (now, mut busy_retry) = (Instant::now(), false);
+            let now = Instant::now();
             for (i, op) in ops.iter_mut().enumerate() {
-                if timer(op).is_none_or(|wake| wake > now) {
-                    continue;
+                if op.wake.is_some_and(|wake| wake <= now) {
+                    op.wake = None;
+                    ready.push((i, None));
                 }
-                if op.step.is_some() {
-                    if busy_retry {
-                        continue;
-                    }
-                    busy_retry = true;
-                }
-                op.wake = None;
-                ready.push((i, None));
             }
         }
         if metered {
@@ -1607,12 +1556,14 @@ impl KvClient {
 
     /// Submits the op's register op to the current node of its rotation.
     ///
-    /// A guarded write checks its epoch before *every* attempt, `Busy`
-    /// retries and failover hops included: its effect then lands within
-    /// one clean attempt of a passing check, so a write stalled behind a
-    /// dead node or a `Busy` storm cannot surface on a source register
-    /// long after the shard was sealed. A failed check issues nothing: a
-    /// put re-routes under the fresh map, a raw write answers
+    /// A guarded write checks its epoch before *every* attempt, failover
+    /// hops included: its effect then lands within one clean attempt of a
+    /// passing check, so a write stalled behind a dead node cannot
+    /// surface on a source register long after the shard was sealed. (A
+    /// wait in the node's register FIFO is part of the attempt, and it
+    /// keeps the write ahead of every op that reaches the node later —
+    /// the migrator's verify read included.) A failed check issues
+    /// nothing: a put re-routes under the fresh map, a raw write answers
     /// not-landed.
     fn submit(&self, fan: &PipelinedClient, op: &mut EngineOp<'_>) {
         if op
@@ -1638,12 +1589,12 @@ impl KvClient {
         };
         match submitted {
             Ok(ticket) => step.ticket = Some(ticket),
-            Err(e) => self.attempt_failed(op, e, false),
+            Err(e) => self.attempt_failed(op, e),
         }
     }
 
     /// Feeds a settled (or timed-out) attempt into its op's state machine.
-    fn settle(&self, op: &mut EngineOp<'_>, attempt: Attempt, crowded: bool) {
+    fn settle(&self, op: &mut EngineOp<'_>, attempt: Attempt) {
         let step = op.step.as_mut().expect("a settled op has a step");
         step.ticket = None;
         let node = step.order[step.hop];
@@ -1660,59 +1611,33 @@ impl KvClient {
                 self.finish(op, Ok(()));
             }
             // A result that does not answer the op: the node failed it.
-            (Ok(_), _) => self.attempt_failed(op, ClientError::ProcessDown, crowded),
-            (Err(e), _) => self.attempt_failed(op, e, crowded),
+            (Ok(_), _) => self.attempt_failed(op, ClientError::ProcessDown),
+            (Err(e), _) => self.attempt_failed(op, e),
         }
     }
 
-    /// A failed node attempt. `Busy` (another op on this register of the
-    /// node) retries on the same node after a jittered backoff, then
-    /// fails over like any other unavailability; a timeout or a dead node
-    /// marks the node and fails over (register ops are idempotent, so a
-    /// retry after an ambiguous timeout is safe). `TooLarge` ends the op
-    /// without marking: the value cannot fit *any* node's frame.
-    fn attempt_failed(&self, op: &mut EngineOp<'_>, e: ClientError, crowded: bool) {
+    /// A failed node attempt. A timeout or a dead node marks the node and
+    /// fails over (register ops are idempotent, so a retry after an
+    /// ambiguous timeout is safe). `TooLarge` ends the op without
+    /// marking: the value cannot fit *any* node's frame.
+    fn attempt_failed(&self, op: &mut EngineOp<'_>, e: ClientError) {
         let step = op.step.as_mut().expect("a failed attempt has a step");
         let node = step.order[step.hop];
-        match e {
-            ClientError::Busy if step.busy < self.busy_retries => {
-                step.busy += 1;
-                self.obs.retries.inc();
-                // A first `Busy` while the call has other ops in flight
-                // needs no timer: the retry waits for them to settle (see
-                // `drive`), which is backoff enough.
-                let backoff = if step.busy == 1 && crowded {
-                    Duration::ZERO
-                } else {
-                    self.backoff(step.busy)
-                };
-                op.wake = Some(Instant::now() + backoff);
+        if let ClientError::TooLarge { size, limit } = e {
+            // A client-side refusal: a won probe never reached the node,
+            // so hand the debt back.
+            if step.probe == Some(node) {
+                self.health.reopen_probe(node);
             }
-            ClientError::TooLarge { size, limit } => {
-                // A client-side refusal: a won probe never reached the
-                // node, so hand the debt back.
-                if step.probe == Some(node) {
-                    self.health.reopen_probe(node);
-                }
-                let key = op.label.to_string();
-                self.finish(op, Err(KvError::TooLarge { key, size, limit }));
-            }
-            source => {
-                self.obs.retries.inc();
-                if matches!(source, ClientError::TimedOut | ClientError::ProcessDown) {
-                    self.health.mark(node);
-                } else if step.probe == Some(node) {
-                    // Inconclusive probe (Busy exhaustion): the node
-                    // still owes one.
-                    self.health.reopen_probe(node);
-                }
-                step.hop += 1;
-                step.busy = 0;
-                if step.hop == step.order.len() {
-                    let key = op.label.to_string();
-                    self.finish(op, Err(KvError::Register { key, source }));
-                }
-            }
+            let key = op.label.to_string();
+            return self.finish(op, Err(KvError::TooLarge { key, size, limit }));
+        }
+        self.obs.retries.inc();
+        self.health.mark(node);
+        step.hop += 1;
+        if step.hop == step.order.len() {
+            let key = op.label.to_string();
+            self.finish(op, Err(KvError::Register { key, source: e }));
         }
     }
 
@@ -1799,18 +1724,28 @@ impl KvClient {
                 if poll % 8 == 7 {
                     return self.start_refresh(op);
                 }
-                op.wake = Some(Instant::now() + seal_backoff(poll));
+                op.wake = Some(self.seal_wait(poll));
             }
             (Req::Put(..), _) => {
                 self.adopt_published(&payload);
                 op.phase = Phase::Seal;
-                op.wake = Some(Instant::now() + seal_backoff(op.polls - 1));
+                op.wake = Some(self.seal_wait(op.polls - 1));
             }
             _ => {
                 op.done.payload = payload;
                 self.finish(op, Ok(()));
             }
         }
+    }
+
+    /// When the write barrier's next seal poll is due: escalating spacing,
+    /// capped, summed into `kv.backoff_micros`. The migrator seals a shard
+    /// in a handful of register rounds, so the common case is one short
+    /// wait.
+    fn seal_wait(&self, poll: u32) -> Instant {
+        let micros = (100u64 << poll.min(5)).min(2_000);
+        self.obs.backoff_micros.add(micros);
+        Instant::now() + Duration::from_micros(micros)
     }
 
     /// Finishes a get with the payload that answered it.
@@ -1842,13 +1777,6 @@ impl KvClient {
         }
         op.out = Some(out);
     }
-}
-
-/// Spacing of the write barrier's seal polls: escalating, capped. The
-/// migrator seals a shard in a handful of register rounds, so the common
-/// case is one short wait.
-fn seal_backoff(poll: u32) -> Duration {
-    Duration::from_micros((100u64 << poll.min(5)).min(2_000))
 }
 
 /// A settled attempt: the op outcome, its quorum rounds, and the lease
@@ -1887,10 +1815,10 @@ enum Req {
 }
 
 /// Where an op stands. Each phase but `Route` has a register op in
-/// flight (or retrying); on its completion the op is done, backs off on
-/// `Busy` at the same node, fails over to the next node, polls the
-/// barrier again, forwards a split read, refreshes the map and re-routes,
-/// or — a guarded write whose epoch moved — re-routes without issuing.
+/// flight (or failing over); on its completion the op is done, fails
+/// over to the next node, polls the barrier again, forwards a split
+/// read, refreshes the map and re-routes, or — a guarded write whose
+/// epoch moved — re-routes without issuing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Pick the op's path under the current shard map.
@@ -1917,8 +1845,6 @@ struct Step {
     /// Nodes in try order (see [`KvClient::step`]); `hop` is the current.
     order: Vec<usize>,
     hop: usize,
-    /// `Busy` retries spent on the current node.
-    busy: u32,
     /// The node this step owes a health probe to, if it won one.
     probe: Option<usize>,
     ticket: Option<Ticket>,
@@ -1961,7 +1887,7 @@ struct EngineOp<'a> {
     /// Latency clock of a get/put (when metrics are on).
     clock: Option<Instant>,
     step: Option<Step>,
-    /// Asleep until this instant (a `Busy` backoff or barrier spacing).
+    /// Asleep until this instant (the barrier's seal-poll spacing).
     wake: Option<Instant>,
     done: Done,
     out: Option<Result<(), KvError>>,
@@ -1998,6 +1924,41 @@ mod tests {
         let cluster = LocalCluster::channel(3, SharedMemory::factory(Transient::flavor())).unwrap();
         let client = KvClient::new(cluster.clients(), ShardRouter::new(shards)).unwrap();
         (cluster, client)
+    }
+
+    /// Polls, bounded by a count, until no protocol message is in flight
+    /// and no store is pending anywhere: the nodes' summed
+    /// `runner.msgs_in` equals their summed `runner.msgs_out`, every
+    /// queued store is durable, and the counters held still across two
+    /// polls. A read after that finds every replica holding the last
+    /// write durably, so it takes the one-round fast path.
+    fn settle(cluster: &LocalCluster) {
+        const NAMES: [&str; 4] = [
+            "runner.msgs_in",
+            "runner.msgs_out",
+            "runner.stores_queued",
+            "runner.stores_durable",
+        ];
+        let sums = || {
+            let mut sums = [0u64; 4];
+            for i in 0..cluster.len() {
+                let m = cluster.metrics(ProcessId(i as u16));
+                for (sum, name) in sums.iter_mut().zip(NAMES) {
+                    *sum += m.counter(name);
+                }
+            }
+            sums
+        };
+        let mut last = None;
+        for _ in 0..100_000 {
+            let now = sums();
+            if now[0] == now[1] && now[2] == now[3] && last == Some(now) {
+                return;
+            }
+            last = Some(now);
+            std::thread::yield_now();
+        }
+        panic!("the cluster never settled: {last:?}");
     }
 
     #[test]
@@ -2144,6 +2105,7 @@ mod tests {
         let (mut cluster, kv) = cluster_client(8);
         assert_eq!(kv.stats(), KvOpStats::default());
         kv.put("s", b"1".to_vec()).unwrap();
+        settle(&cluster);
         // Quiescent key: the fast path answers the read in one round.
         assert_eq!(kv.get("s").unwrap().as_deref(), Some(b"1".as_ref()));
         let stats = kv.stats();
@@ -2198,7 +2160,6 @@ mod tests {
         let (mut cluster, kv) = cluster_client(8);
         let kv = kv
             .with_health_cooldown(std::time::Duration::from_millis(40))
-            .with_busy_retries(0)
             // Shrink patience so the dead node costs milliseconds, not 10s.
             .with_op_timeout(std::time::Duration::from_millis(300));
         let keys = kv.router().covering_keys("f-");
@@ -2244,10 +2205,8 @@ mod tests {
     #[test]
     fn contended_register_makes_progress_without_livelock() {
         // Eight writers hammering ONE key through one node family: the
-        // jittered exponential backoff must decorrelate their Busy
-        // retries so every writer completes a burst well inside the
-        // test budget (phase-locked retries would starve some writer
-        // past its busy_retries cap and fail the put).
+        // key's home node queues each put behind the one in flight, so
+        // every writer completes its burst without a single retry.
         let (mut cluster, kv) = cluster_client(1);
         let done: Vec<Result<(), KvError>> = std::thread::scope(|scope| {
             (0..8u8)
@@ -2270,12 +2229,15 @@ mod tests {
         }
         let stats = kv.stats();
         assert_eq!(stats.writes, 80);
-        // The backoff accounting is exported: every Busy retry slept and
-        // was counted (a contention-free run legitimately reports 0/0).
         assert_eq!(
-            stats.backoff_micros > 0,
-            stats.retries > 0,
-            "retries and backoff accounting must move together: {stats:?}"
+            stats.retries, 0,
+            "contention must not cost retries: {stats:?}"
+        );
+        // The contention shows up as waiting at the key's home node.
+        let home = ProcessId(data_register(0).0 % 3);
+        assert!(
+            cluster.metrics(home).counter("runner.queued") > 0,
+            "eight concurrent writers must have queued at node {home}"
         );
         assert!(kv.get("hot").unwrap().is_some());
         cluster.shutdown();
@@ -2484,6 +2446,7 @@ mod tests {
     fn hot_key_reads_are_served_by_the_lease_cache() {
         let (mut cluster, kv) = leased_cluster_client(2_000_000, 8);
         kv.put("hot", b"v1".to_vec()).unwrap();
+        settle(&cluster);
         // The first read pays its quorum round and harvests the grant…
         assert_eq!(kv.get("hot").unwrap().as_deref(), Some(b"v1".as_ref()));
         // …the rest are zero-round, zero-datagram hits.
@@ -2522,6 +2485,7 @@ mod tests {
         for key in keys {
             kv.put(key, key.as_bytes().to_vec()).unwrap();
         }
+        settle(&cluster);
         // First batch fills the cache through the pipeline…
         let first = kv.multi_get(&keys).unwrap();
         // …second batch answers entirely from leases.

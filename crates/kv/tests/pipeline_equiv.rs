@@ -26,6 +26,7 @@ use rmem_core::{SharedMemory, Transient};
 use rmem_kv::{certify_per_key_epoch_path, KvClient, KvOpStats, OpRecorder, ShardRouter};
 use rmem_net::LocalCluster;
 use rmem_sim::KeyDistribution;
+use rmem_types::ProcessId;
 
 const SHARDS: u16 = 16;
 const TRAFFIC_THREADS: u64 = 3;
@@ -47,6 +48,39 @@ fn cluster_kv(recorder: &OpRecorder) -> (LocalCluster, KvClient) {
         .unwrap()
         .with_recorder(recorder.clone());
     (cluster, kv)
+}
+
+/// Polls, bounded by a count, until no protocol message is in flight
+/// and no store is pending anywhere: the nodes' summed `runner.msgs_in`
+/// equals their summed `runner.msgs_out`, every queued store is durable,
+/// and the counters held still across two polls.
+fn settle(cluster: &LocalCluster) {
+    const NAMES: [&str; 4] = [
+        "runner.msgs_in",
+        "runner.msgs_out",
+        "runner.stores_queued",
+        "runner.stores_durable",
+    ];
+    let sums = || {
+        let mut sums = [0u64; 4];
+        for i in 0..cluster.len() {
+            let m = cluster.metrics(ProcessId(i as u16));
+            for (sum, name) in sums.iter_mut().zip(NAMES) {
+                *sum += m.counter(name);
+            }
+        }
+        sums
+    };
+    let mut last = None;
+    for _ in 0..100_000 {
+        let now = sums();
+        if now[0] == now[1] && now[2] == now[3] && last == Some(now) {
+            return;
+        }
+        last = Some(now);
+        std::thread::yield_now();
+    }
+    panic!("the cluster never settled: {last:?}");
 }
 
 fn do_put(kv: &KvClient, drive: Drive, key: &str, value: Vec<u8>) {
@@ -173,7 +207,7 @@ fn quiescent_twin_has_identical_round_counts() {
             do_put(&kv, drive, key, vec![i as u8; 8]);
             // Settle: the propagate round finishes everywhere, so the
             // following reads deterministically fast-path.
-            std::thread::sleep(Duration::from_millis(5));
+            settle(&cluster);
             assert_eq!(
                 do_get(&kv, drive, key).as_deref(),
                 Some(vec![i as u8; 8].as_slice()),

@@ -3,9 +3,9 @@
 //!
 //! Three layers of assurance:
 //!
-//! 1. **abandonment** — a cancelled in-flight op's slot and scratch
-//!    buffer are reclaimed immediately, its eventual ack is counted
-//!    late and never delivered to the slot's next tenant;
+//! 1. **abandonment** — a cancelled in-flight op's slot is reclaimed
+//!    immediately, its eventual ack is counted late and never delivered
+//!    to the slot's next tenant;
 //! 2. **dead-node fallback** — a batch whose home node is down still
 //!    completes through the blocking failover path, firing
 //!    `kv.retries`, and the recorded history certifies;
@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use rmem_consistency::Criterion;
 use rmem_core::{SharedMemory, Transient};
 use rmem_kv::{certify_per_key_epoch_path, KvClient, KvError, OpRecorder, ShardRouter};
-use rmem_net::{ClientError, FaultSchedule, LocalCluster, PipelinedClient};
+use rmem_net::{FaultSchedule, LocalCluster, PipelinedClient};
 use rmem_types::{OpResult, ProcessId, RegisterId, Value};
 
 const SHARDS: u16 = 8;
@@ -39,7 +39,7 @@ fn cancelled_op_reclaims_slot_and_drops_late_ack() {
     let fan = PipelinedClient::fan(&cluster.clients());
 
     // Submit a write, then abandon it before draining any completion:
-    // the slot and its scratch buffer go back to the free list now.
+    // the slot goes back to the free list now.
     let abandoned = fan
         .submit_write(0, RegisterId(0), Value::from_u32(7))
         .unwrap();
@@ -59,24 +59,14 @@ fn cancelled_op_reclaims_slot_and_drops_late_ack() {
     );
     assert_eq!(fan.in_flight(), 0);
 
-    // The abandoned write still executed server-side: the cancel
-    // abandoned the *claim*, not the quorum op. This read targets the
-    // same node and register, so while the write is still in flight the
-    // runner rejects it `Busy` (one op per register); retried, it is
-    // admitted only after the write completed — by then the zombie ack
-    // has been drained and must have been counted late, not delivered
-    // anywhere.
-    let mut attempts = 0;
-    let (result, _) = loop {
-        let check = fan.submit_read(0, RegisterId(0)).unwrap();
-        match fan.wait(check) {
-            Err(ClientError::Busy) if attempts < 1_000 => {
-                attempts += 1;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            outcome => break outcome.expect("the check read must complete"),
-        }
-    };
+    // The abandoned write still executed server-side: the cancel came
+    // after the runner admitted it, so it abandoned the *claim*, not the
+    // quorum op. This read targets the same node and register, so it
+    // queues behind the write if that is still in flight and starts only
+    // after it completed — by then the zombie ack has been drained and
+    // must have been counted late, not delivered anywhere.
+    let check = fan.submit_read(0, RegisterId(0)).unwrap();
+    let (result, _) = fan.wait(check).expect("the check read must complete");
     assert_eq!(result, OpResult::ReadValue(Value::from_u32(7)));
     assert_eq!(
         fan.late_acks(),

@@ -66,10 +66,6 @@ impl std::error::Error for NetError {
 /// A client-visible operation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
-    /// The register this operation addresses already has an operation in
-    /// flight at this process (per-register sequentiality; operations on
-    /// *distinct* registers proceed concurrently through one runner).
-    Busy,
     /// The runner was shut down (or killed to simulate a crash) before the
     /// operation completed.
     ProcessDown,
@@ -94,7 +90,6 @@ pub enum ClientError {
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClientError::Busy => write!(f, "an operation is already in flight"),
             ClientError::ProcessDown => write!(f, "the process is down"),
             ClientError::TimedOut => write!(f, "the operation timed out"),
             ClientError::TooLarge { size, limit } => {
@@ -124,10 +119,7 @@ mod tests {
             limit: 65_000,
         };
         assert!(e.to_string().contains("70000"));
-        assert_eq!(
-            ClientError::Busy.to_string(),
-            "an operation is already in flight"
-        );
+        assert_eq!(ClientError::ProcessDown.to_string(), "the process is down");
     }
 
     #[test]

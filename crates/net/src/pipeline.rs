@@ -16,10 +16,9 @@
 //!   the channel and routes completions for everyone (a condvar wakes
 //!   the others), so any number of submitted operations make progress
 //!   with zero dedicated reactor threads;
-//! * reusable encode scratch per slot: payloads are built in the slot's
-//!   [`BytesMut`] and handed to the wire as a zero-copy [`Bytes`] split;
-//!   `reserve` reclaims the backing allocation once the wire has dropped
-//!   its handle, so steady-state submission does not allocate.
+//! * cancellation that reaches the runner: a cancelled ticket's
+//!   invocation, if it is still queued behind its register's operation,
+//!   is withdrawn and never starts.
 //!
 //! [`PipelinedClient`] is the public face: `submit*`/`poll`/`wait*` over
 //! one node (via [`Client::pipelined`](crate::Client::pipelined)) or a
@@ -29,12 +28,13 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rmem_types::{LeaseGrant, Op, OpResult, ProcessId, RegisterId, RejectReason, TraceId, Value};
+use rmem_types::{LeaseGrant, Op, OpResult, ProcessId, RegisterId, TraceId, Value};
 
 use crate::error::ClientError;
-use crate::runner::{Client, Completion, RunnerEvent, TraceCtx};
+use crate::runner::{Client, Completion, Invocation, RunnerEvent, TraceCtx};
 
 /// How long a follower waits on the condvar before re-checking for a
 /// missing drainer (belt-and-braces against a lost wakeup; the notify
@@ -120,7 +120,6 @@ struct Slot {
     target: usize,
     reg: RegisterId,
     trace: Option<TraceId>,
-    scratch: BytesMut,
 }
 
 /// The reactor's completion-slot table: every operation submitted and
@@ -147,8 +146,7 @@ impl InFlightTable {
     }
 
     /// Allocates a slot for an operation on `reg` bound for `target`,
-    /// reusing a reclaimed slot (and its scratch buffer) when one is
-    /// free.
+    /// reusing a reclaimed slot when one is free.
     pub fn begin(&mut self, target: usize, reg: RegisterId, trace: Option<TraceId>) -> Ticket {
         let idx = match self.free.pop() {
             Some(idx) => idx,
@@ -159,7 +157,6 @@ impl InFlightTable {
                     target: 0,
                     reg: RegisterId::ZERO,
                     trace: None,
-                    scratch: BytesMut::new(),
                 });
                 (self.slots.len() - 1) as u32
             }
@@ -175,25 +172,6 @@ impl InFlightTable {
             slot: idx,
             generation: slot.generation,
         }
-    }
-
-    /// Builds a payload in the ticket's slot scratch and returns it as a
-    /// zero-copy [`Bytes`] handle. The scratch keeps its backing
-    /// allocation across submissions: `split().freeze()` hands the
-    /// filled prefix to the wire, and the next `fill`'s reserve reclaims
-    /// the buffer once that handle is dropped.
-    ///
-    /// # Panics
-    ///
-    /// If the ticket's slot was reclaimed (caller bug: encoding must
-    /// happen between [`begin`](Self::begin) and the op's claim).
-    pub fn encode_with(&mut self, ticket: Ticket, fill: impl FnOnce(&mut BytesMut)) -> Bytes {
-        let slot = self
-            .slot_mut(ticket)
-            .expect("encoding into a reclaimed slot");
-        slot.scratch.clear();
-        fill(&mut slot.scratch);
-        slot.scratch.split().freeze()
     }
 
     /// Routes a tagged completion to its slot. Late and duplicated acks
@@ -262,10 +240,10 @@ impl InFlightTable {
         }
     }
 
-    /// Abandons the ticket's operation, reclaiming its slot (and scratch
-    /// buffer) whether or not the completion arrived. Returns `false` if
-    /// the ticket was already claimed or cancelled. The ack, if it comes
-    /// later, fails the generation check and is counted late.
+    /// Abandons the ticket's operation, reclaiming its slot whether or
+    /// not the completion arrived. Returns `false` if the ticket was
+    /// already claimed or cancelled. The ack, if it comes later, fails
+    /// the generation check and is counted late.
     pub fn cancel(&mut self, ticket: Ticket) -> bool {
         match self.slot_mut(ticket) {
             None => false,
@@ -321,7 +299,6 @@ impl InFlightTable {
         let slot = &mut self.slots[idx as usize];
         slot.generation = slot.generation.wrapping_add(1);
         slot.trace = None;
-        slot.scratch.clear();
         self.free.push(idx);
         self.in_flight -= 1;
     }
@@ -344,10 +321,13 @@ struct Reactor {
 }
 
 /// The shared reactor state behind every [`Client`] clone and
-/// [`PipelinedClient`] of one family: targets, the tagged completion
-/// channel, and the slot table.
+/// [`PipelinedClient`] of one family: targets, the family id, the tagged
+/// completion channel, and the slot table.
 pub(crate) struct Pipeline {
     targets: Vec<Target>,
+    /// Names this family's invocations at the runners, so a withdraw
+    /// matches only its own ticket's token.
+    family: u64,
     done_tx: Sender<Completion>,
     done_rx: Receiver<Completion>,
     inner: Mutex<Reactor>,
@@ -356,9 +336,11 @@ pub(crate) struct Pipeline {
 
 impl Pipeline {
     pub(crate) fn new(targets: Vec<Target>) -> Self {
+        static NEXT_FAMILY: AtomicU64 = AtomicU64::new(0);
         let (done_tx, done_rx) = unbounded();
         Pipeline {
             targets,
+            family: NEXT_FAMILY.fetch_add(1, Ordering::Relaxed),
             done_tx,
             done_rx,
             inner: Mutex::new(Reactor {
@@ -410,29 +392,6 @@ impl Pipeline {
         self.dispatch(target, operation, ticket, trace_id)
     }
 
-    /// Submits a write whose payload is built directly in the ticket's
-    /// reusable scratch buffer (zero-copy into the wire value).
-    pub(crate) fn submit_write_with(
-        &self,
-        target: usize,
-        reg: RegisterId,
-        trace: Option<&TraceCtx>,
-        fill: impl FnOnce(&mut BytesMut),
-    ) -> Result<Ticket, ClientError> {
-        let trace_id = trace.map(|ctx| ctx.begin(reg, self.targets[target].me));
-        let (ticket, value) = {
-            let mut g = self.inner.lock().expect("pipeline lock");
-            let ticket = g.table.begin(target, reg, trace_id);
-            let bytes = g.table.encode_with(ticket, fill);
-            (ticket, Value::new(bytes))
-        };
-        if let Err(e) = self.check_frame(target, &value) {
-            self.cancel(ticket);
-            return Err(e);
-        }
-        self.dispatch(target, Op::WriteAt(reg, value), ticket, trace_id)
-    }
-
     fn dispatch(
         &self,
         target: usize,
@@ -440,12 +399,15 @@ impl Pipeline {
         ticket: Ticket,
         trace: Option<TraceId>,
     ) -> Result<Ticket, ClientError> {
-        let sent = self.targets[target].tx.send(RunnerEvent::Invoke {
-            operation,
-            reply: self.done_tx.clone(),
-            token: ticket.token(),
-            trace,
-        });
+        let sent = self.targets[target]
+            .tx
+            .send(RunnerEvent::Invoke(Invocation {
+                operation,
+                reply: self.done_tx.clone(),
+                family: self.family,
+                token: ticket.token(),
+                trace,
+            }));
         if sent.is_err() {
             // The runner is gone; nothing will ever complete this slot.
             self.cancel(ticket);
@@ -473,8 +435,10 @@ impl Pipeline {
         trace: Option<&TraceCtx>,
     ) -> Result<Settled, ClientError> {
         match result {
-            OpResult::Rejected(RejectReason::Shutdown) => Err(ClientError::ProcessDown),
-            OpResult::Rejected(_) => Err(ClientError::Busy),
+            // The runner queues same-register invocations, so the only
+            // rejection it sends is `Shutdown`; the automaton's defensive
+            // `Busy` reads as the node failing the op.
+            OpResult::Rejected(_) => Err(ClientError::ProcessDown),
             result => {
                 if let (Some(ctx), Some((target, reg, Some(id)))) = (trace, meta) {
                     ctx.finish(id, reg, self.targets[target].me);
@@ -533,7 +497,7 @@ impl Pipeline {
             }
             let now = Instant::now();
             if now >= deadline {
-                g.table.cancel(ticket);
+                self.cancel_locked(&mut g, ticket);
                 drop(g);
                 self.wake.notify_all();
                 return Err(ClientError::TimedOut);
@@ -603,7 +567,24 @@ impl Pipeline {
 
     pub(crate) fn cancel(&self, ticket: Ticket) -> bool {
         let mut g = self.inner.lock().expect("pipeline lock");
-        g.table.cancel(ticket)
+        self.cancel_locked(&mut g, ticket)
+    }
+
+    /// Reclaims the ticket's slot and withdraws its invocation at the
+    /// runner: one still queued behind its register's operation never
+    /// starts (an admitted one runs to completion, its ack counted late).
+    fn cancel_locked(&self, reactor: &mut Reactor, ticket: Ticket) -> bool {
+        let Some((target, reg, _trace)) = reactor.table.meta(ticket) else {
+            return false;
+        };
+        reactor.table.cancel(ticket);
+        let token = ticket.token();
+        let family = self.family;
+        // A runner that is gone has nothing queued to withdraw.
+        let _ = self.targets[target]
+            .tx
+            .send(RunnerEvent::Withdraw { reg, family, token });
+        true
     }
 
     pub(crate) fn in_flight(&self) -> usize {
@@ -625,11 +606,11 @@ impl Pipeline {
 /// [`PipelinedClient::fan`] (one reactor spanning several nodes' control
 /// channels, each addressed by its index).
 ///
-/// Per-register sequentiality still holds at the *runner*: two in-flight
-/// operations on the same register of the same node get one `Busy`
-/// rejection (exactly as two blocking clients racing would). Pipelining
-/// buys concurrency across registers and nodes, which is how the kv
-/// layer uses it — one submission per shard queue at a time.
+/// Per-register sequentiality still holds at the *runner*: an operation
+/// submitted to a register of a node that already has one in flight
+/// waits in that register's FIFO and starts when the one ahead of it
+/// completes (exactly as two blocking clients racing would). Pipelining
+/// buys concurrency across registers and nodes.
 pub struct PipelinedClient {
     pipe: Arc<Pipeline>,
     timeout: Duration,
@@ -724,22 +705,6 @@ impl PipelinedClient {
         self.submit(node, Op::WriteAt(reg, value))
     }
 
-    /// Submits a write whose payload `fill` builds directly in the
-    /// slot's reusable scratch buffer — the zero-copy submission path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`submit`](Self::submit).
-    pub fn submit_write_with(
-        &self,
-        node: usize,
-        reg: RegisterId,
-        fill: impl FnOnce(&mut BytesMut),
-    ) -> Result<Ticket, ClientError> {
-        self.pipe
-            .submit_write_with(node, reg, self.trace.as_deref(), fill)
-    }
-
     /// Claims the ticket's result if its completion arrived; `None`
     /// while still in flight. Never blocks.
     ///
@@ -763,12 +728,12 @@ impl PipelinedClient {
     }
 
     /// Blocks until the ticket completes or the patience window passes
-    /// (the op is cancelled and [`ClientError::TimedOut`] returned).
+    /// (the op is cancelled and [`ClientError::TimedOut`] returned). The
+    /// window includes any time the op waited at the runner behind an
+    /// earlier op on its register.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Busy`] if the runner rejected the op (another op
-    /// was in flight on the same register of that node),
     /// [`ClientError::ProcessDown`] if the node halted with the op
     /// pending, [`ClientError::TimedOut`] as its name says.
     pub fn wait(&self, ticket: Ticket) -> Result<(OpResult, u32), ClientError> {
@@ -805,14 +770,11 @@ impl PipelinedClient {
         tickets.iter().map(|&t| self.wait(t)).collect()
     }
 
-    /// As [`wait_all`](Self::wait_all), surfacing lease grants.
-    pub fn wait_all_leased(&self, tickets: &[Ticket]) -> Vec<Result<Settled, ClientError>> {
-        tickets.iter().map(|&t| self.wait_leased(t)).collect()
-    }
-
-    /// Abandons an in-flight op: its slot and scratch buffer are
-    /// reclaimed now, its ack (if it ever comes) is counted late.
-    /// Returns `false` if the ticket was already claimed or cancelled.
+    /// Abandons an in-flight op: its slot is reclaimed now, and the node
+    /// is told to withdraw the op — still queued behind an earlier op on
+    /// its register, it never starts; already admitted, it runs to
+    /// completion and its ack is counted late. Returns `false` if the
+    /// ticket was already claimed or cancelled.
     pub fn cancel(&self, ticket: Ticket) -> bool {
         self.pipe.cancel(ticket)
     }
@@ -879,17 +841,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_reclaims_the_slot_and_scratch() {
+    fn cancel_reclaims_the_slot() {
         let mut table = InFlightTable::new();
         let a = table.begin(0, RegisterId(0), None);
-        let payload = table.encode_with(a, |buf| buf.extend_from_slice(b"hello"));
-        assert_eq!(&payload[..], b"hello");
         assert_eq!(table.in_flight(), 1);
         assert!(table.cancel(a));
         assert!(!table.cancel(a), "double cancel is a no-op");
         assert_eq!(table.in_flight(), 0);
         assert_eq!(table.capacity(), 1);
-        // The freed slot (and its scratch) is reused, not regrown.
+        // The freed slot is reused, not regrown.
         let b = table.begin(0, RegisterId(0), None);
         assert_eq!(b.slot(), a.slot());
         assert_eq!(table.capacity(), 1);

@@ -12,7 +12,7 @@
 //! [`ProcessRunner::store_failures`] / [`ProcessRunner::is_halted`].
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -48,12 +48,25 @@ pub const HALT_DUMP_EVENTS: usize = 64;
 /// [`crate::pipeline::InFlightTable`]).
 pub(crate) type Completion = (u64, OpResult, u32, Option<rmem_types::LeaseGrant>);
 
+/// One client invocation on its way to the runner: the operation, the
+/// client family's completion channel and family id, the submission's
+/// slot token, and the trace context it was issued under.
+pub(crate) struct Invocation {
+    pub(crate) operation: Op,
+    pub(crate) reply: Sender<Completion>,
+    pub(crate) family: u64,
+    pub(crate) token: u64,
+    pub(crate) trace: Option<TraceId>,
+}
+
 pub(crate) enum RunnerEvent {
-    Invoke {
-        operation: Op,
-        reply: Sender<Completion>,
+    Invoke(Invocation),
+    /// The client cancelled ticket `token` of family `family` on `reg`:
+    /// if that invocation is still queued it must never start.
+    Withdraw {
+        reg: RegisterId,
+        family: u64,
         token: u64,
-        trace: Option<TraceId>,
     },
     Shutdown,
 }
@@ -176,18 +189,31 @@ impl ReqTraces {
     }
 }
 
-/// The runner's **operation table**: every client operation currently in
-/// flight at this process, keyed by operation id with a per-register busy
-/// index.
+/// The runner's **operation table**: every client operation admitted at
+/// this process, keyed by operation id with a per-register busy index,
+/// plus a FIFO of the invocations waiting for each busy register.
 ///
 /// The paper's model (§III-A) makes *each process of the emulation*
 /// sequential — and each register of a shared memory is its own
 /// independent emulation (`rmem_core::SharedMemoryAutomaton` hosts one
 /// register automaton per id, unaware of the others). The table enforces
-/// sequentiality exactly at that granularity: a second operation on a
-/// register with one already in flight is rejected `Busy`, while
+/// sequentiality exactly at that granularity: a second invocation on a
+/// register with an operation in flight waits in that register's FIFO
+/// and is admitted when the operation ahead of it completes, while
 /// operations on distinct registers — independent shards hosted by this
 /// node — proceed concurrently through the one event loop.
+#[derive(Default)]
+struct OpTable {
+    in_flight: HashMap<OpId, InFlight>,
+    by_register: HashMap<RegisterId, OpId>,
+    /// Per busy register, the invocations waiting for it in arrival
+    /// order, each with its arrival time (feeds `runner.queue_micros`).
+    queued: HashMap<RegisterId, VecDeque<(Invocation, Instant)>>,
+    /// Queued invocations whose register a completion just freed; the
+    /// loop admits them before it takes its next event.
+    ready: Vec<(Invocation, Instant)>,
+}
+
 /// What the table remembers per in-flight operation: its register, the
 /// client family's completion channel and the submission's slot token,
 /// when it was admitted (feeds `runner.op_micros`), and the trace
@@ -205,33 +231,31 @@ type InFlight = (
 /// slot token, the admission time and the trace context.
 type Completed = (Sender<Completion>, u64, Instant, Option<TraceId>);
 
-#[derive(Default)]
-struct OpTable {
-    in_flight: HashMap<OpId, InFlight>,
-    by_register: HashMap<RegisterId, OpId>,
-}
-
 impl OpTable {
-    /// Whether `reg` already has an operation in flight.
-    fn is_busy(&self, reg: RegisterId) -> bool {
-        self.by_register.contains_key(&reg)
+    /// Takes an arriving invocation: handed back when its register is
+    /// free (admit it now), queued behind the register's operation
+    /// otherwise.
+    fn arrive(&mut self, inv: Invocation) -> Option<Invocation> {
+        let reg = inv.operation.register();
+        if !self.by_register.contains_key(&reg) {
+            return Some(inv);
+        }
+        self.queued
+            .entry(reg)
+            .or_default()
+            .push_back((inv, Instant::now()));
+        None
     }
 
-    /// Admits `op` on `reg`. Callers must have checked [`is_busy`] first.
-    ///
-    /// [`is_busy`]: OpTable::is_busy
-    fn admit(
-        &mut self,
-        op: OpId,
-        reg: RegisterId,
-        reply: Sender<Completion>,
-        token: u64,
-        trace: Option<TraceId>,
-    ) {
-        debug_assert!(!self.is_busy(reg), "admitting onto a busy register");
-        self.by_register.insert(reg, op);
-        self.in_flight
-            .insert(op, (reg, reply, token, Instant::now(), trace));
+    /// Admits `inv` as operation `op` onto its free register, returning
+    /// the operation to invoke.
+    fn admit(&mut self, op: OpId, inv: Invocation) -> Op {
+        let reg = inv.operation.register();
+        let busy = self.by_register.insert(reg, op);
+        debug_assert!(busy.is_none(), "admitting onto a busy register");
+        let entry = (reg, inv.reply, inv.token, Instant::now(), inv.trace);
+        self.in_flight.insert(op, entry);
+        inv.operation
     }
 
     /// The trace context of the operation in flight on `reg`, if any.
@@ -245,22 +269,49 @@ impl OpTable {
     }
 
     /// Completes `op` if it is in flight, returning its completion
-    /// channel, slot token, admission time and trace context.
+    /// channel, slot token, admission time and trace context. The next
+    /// invocation queued on its register becomes ready.
     fn complete(&mut self, op: OpId) -> Option<Completed> {
         let (reg, reply, token, started, trace) = self.in_flight.remove(&op)?;
         self.by_register.remove(&reg);
+        if let Some(queue) = self.queued.get_mut(&reg) {
+            self.ready.extend(queue.pop_front());
+            if queue.is_empty() {
+                self.queued.remove(&reg);
+            }
+        }
         Some((reply, token, started, trace))
     }
 
-    /// Fails every in-flight operation with `Rejected(Shutdown)`. Called
-    /// on every event-loop exit path — orderly shutdown and both halt
-    /// flavors — so pipelined waiters learn promptly that their
-    /// emulation will never complete, instead of burning their full
-    /// patience window (the crash-recovery model's "crashed with the
-    /// operation pending").
+    /// Drops the invocation `token` of client family `family` if it is
+    /// still queued on `reg`; returns whether it was. An admitted
+    /// operation is not affected. (An emptied queue is dropped at the
+    /// register's next completion.)
+    fn withdraw(&mut self, reg: RegisterId, family: u64, token: u64) -> bool {
+        let Some(queue) = self.queued.get_mut(&reg) else {
+            return false;
+        };
+        let before = queue.len();
+        queue.retain(|(inv, _)| (inv.family, inv.token) != (family, token));
+        queue.len() < before
+    }
+
+    /// Fails every admitted and queued operation with
+    /// `Rejected(Shutdown)`. Called on every event-loop exit path —
+    /// orderly shutdown and both halt flavors — so pipelined waiters
+    /// learn promptly that their emulation will never complete, instead
+    /// of burning their full patience window (the crash-recovery model's
+    /// "crashed with the operation pending").
     fn drain_shutdown(&mut self) {
-        for (_op, (_reg, reply, token, _started, _trace)) in self.in_flight.drain() {
+        let shutdown = |reply: Sender<Completion>, token| {
             let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0, None));
+        };
+        for (_op, (_reg, reply, token, _started, _trace)) in self.in_flight.drain() {
+            shutdown(reply, token);
+        }
+        let queued = self.queued.drain().flat_map(|(_reg, queue)| queue);
+        for (inv, _arrived) in queued.chain(self.ready.drain(..)) {
+            shutdown(inv.reply, inv.token);
         }
         self.by_register.clear();
     }
@@ -346,16 +397,9 @@ impl Client {
     }
 
     fn invoke(&self, operation: Op) -> Result<(OpResult, u32), ClientError> {
-        self.invoke_leased(operation)
-            .map(|(result, rounds, _)| (result, rounds))
-    }
-
-    fn invoke_leased(
-        &self,
-        operation: Op,
-    ) -> Result<(OpResult, u32, Option<rmem_types::LeaseGrant>), ClientError> {
         let ticket = self.pipe.submit(0, operation, self.trace.as_deref())?;
-        self.pipe.wait(ticket, self.timeout, self.trace.as_deref())
+        let settled = self.pipe.wait(ticket, self.timeout, self.trace.as_deref());
+        settled.map(|(result, rounds, _lease)| (result, rounds))
     }
 
     /// Writes `value` to the emulated register, blocking until the write
@@ -363,11 +407,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Busy`] if an operation is already in flight *on the
-    /// same register* (operations on distinct registers run concurrently),
     /// [`ClientError::TooLarge`] if the value cannot fit the transport
     /// frame, [`ClientError::ProcessDown`] / [`ClientError::TimedOut`] as
-    /// their names say.
+    /// their names say. An operation already in flight on the same
+    /// register of this process delays the write (it queues behind it;
+    /// the wait counts against the patience window) but never fails it.
     pub fn write(&self, value: rmem_types::Value) -> Result<(), ClientError> {
         self.invoke(Op::Write(value)).map(|_| ())
     }
@@ -426,44 +470,6 @@ impl Client {
             (OpResult::ReadValue(v), rounds) => Ok((v, rounds)),
             _ => Err(ClientError::ProcessDown),
         }
-    }
-
-    /// As [`read_at_counted`](Self::read_at_counted), additionally
-    /// surfacing the tag-lease grant a leasing flavor's fast path may
-    /// have minted: `rounds` can then be 0 (the emulation served the
-    /// read from a live coordinator lease, no datagrams at all), and a
-    /// `Some` grant tells the caller it may cache the returned value
-    /// under the granted tag until the lease expires (see
-    /// [`LeaseGrant`](rmem_types::LeaseGrant) for the clock contract).
-    /// Non-leasing flavors always report `None`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`write`](Self::write).
-    pub fn read_at_leased(
-        &self,
-        reg: rmem_types::RegisterId,
-    ) -> Result<(rmem_types::Value, u32, Option<rmem_types::LeaseGrant>), ClientError> {
-        match self.invoke_leased(Op::ReadAt(reg))? {
-            (OpResult::ReadValue(v), rounds, lease) => Ok((v, rounds, lease)),
-            _ => Err(ClientError::ProcessDown),
-        }
-    }
-
-    /// As [`write_at`](Self::write_at), additionally reporting the quorum
-    /// round-trips the write performed (2 with the query round, 1 for the
-    /// single-writer regular flavor).
-    ///
-    /// # Errors
-    ///
-    /// As for [`write`](Self::write).
-    pub fn write_at_counted(
-        &self,
-        reg: rmem_types::RegisterId,
-        value: rmem_types::Value,
-    ) -> Result<u32, ClientError> {
-        self.invoke(Op::WriteAt(reg, value))
-            .map(|(_, rounds)| rounds)
     }
 }
 
@@ -651,7 +657,10 @@ struct LoopMetrics {
     stores_durable: Arc<rmem_obs::Counter>,
     timer_fires: Arc<rmem_obs::Counter>,
     trace_evictions: Arc<rmem_obs::Counter>,
+    queued: Arc<rmem_obs::Counter>,
+    withdrawn: Arc<rmem_obs::Counter>,
     op_micros: Arc<rmem_obs::Histogram>,
+    queue_micros: Arc<rmem_obs::Histogram>,
 }
 
 impl LoopMetrics {
@@ -665,7 +674,10 @@ impl LoopMetrics {
             stores_durable: obs.metrics.counter("runner.stores_durable"),
             timer_fires: obs.metrics.counter("runner.timer_fires"),
             trace_evictions: obs.metrics.counter("runner.trace_evictions"),
+            queued: obs.metrics.counter("runner.queued"),
+            withdrawn: obs.metrics.counter("runner.withdrawn"),
             op_micros: obs.metrics.histogram("runner.op_micros"),
+            queue_micros: obs.metrics.histogram("runner.queue_micros"),
         }
     }
 }
@@ -687,7 +699,7 @@ fn run_loop(
         std::collections::HashMap::new();
     let mut timer_seq = 0u64;
     let mut pending = OpTable::default();
-    let mut op_counter = boot_count << 32;
+    let op_counter = std::cell::Cell::new(boot_count << 32);
     // Trace plumbing: which client op each in-flight replica request and
     // each queued store belongs to (both maps are drained as requests are
     // acked and stores commit; ReqTraces additionally evicts by age).
@@ -701,12 +713,31 @@ fn run_loop(
     let (store_done_tx, store_done_rx) = unbounded::<StoreOutcome>();
     let syncer = Syncer::spawn_with_obs(me, storage, store_done_tx, store_failures, obs.clone());
 
-    // Process one input and the actions it triggers. Stores are
-    // asynchronous (paper's automaton contract): they are queued for the
-    // syncer and the loop moves on — the matching StoreDone re-enters
-    // through `store_done_rx` after the covering fsync returns, so an
-    // fsync in flight on one register never stalls another register's
-    // round.
+    // Admit an invocation onto its free register — fresh off the control
+    // channel, or dequeued behind a completion (`queued_at` set) — and
+    // return the trace context and the input that starts it.
+    let start = |pending: &mut OpTable, inv: Invocation, queued_at: Option<Instant>| {
+        if let (Some(at), true) = (queued_at, obs.metrics.is_enabled()) {
+            mx.queue_micros.record(at.elapsed().as_micros() as u64);
+        }
+        mx.ops_started.inc();
+        let (trace, reg) = (inv.trace, inv.operation.register());
+        let op = OpId::new(me, op_counter.replace(op_counter.get() + 1));
+        let operation = pending.admit(op, inv);
+        let ev = FlightEvent::new(EventKind::OpStart).with_register(reg.0);
+        flight.record(match trace {
+            Some(t) => ev.with_op(t.client, t.op),
+            None => ev.with_op(op.pid.0, op.counter),
+        });
+        (trace, Input::Invoke { op, operation })
+    };
+
+    // Process one input and the actions it triggers, then start the
+    // invocations its completions dequeued. Stores are asynchronous
+    // (paper's automaton contract): they are queued for the syncer and
+    // the loop moves on — the matching StoreDone re-enters through
+    // `store_done_rx` after the covering fsync returns, so an fsync in
+    // flight on one register never stalls another register's round.
     let step = |automaton: &mut Box<dyn Automaton>,
                 syncer: &Syncer,
                 timers: &mut BinaryHeap<Reverse<(Instant, u64)>>,
@@ -718,79 +749,83 @@ fn run_loop(
                 ctx_trace: Option<TraceId>,
                 input: Input| {
         let mut actions = Vec::new();
-        automaton.on_input(input, &mut actions);
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => {
-                    mx.msgs_out.inc();
-                    let req = msg.request_id();
-                    // Requests belong to the operation in flight on the
-                    // register (robust across retransmits from timers);
-                    // acks to the request that asked for them.
-                    let trace = if msg.is_request() {
-                        let trace = pending.trace_of(req.reg);
-                        flight.record(stamp(
-                            FlightEvent::new(EventKind::RoundSent)
-                                .with_register(req.reg.0)
-                                .with_aux(pack_wire_aux(to.0, req.nonce, false)),
-                            trace,
-                        ));
-                        trace
-                    } else {
-                        let trace = req_traces.get(&req);
-                        let durable = match &msg {
-                            rmem_types::Message::ReadAck { durable, .. } => *durable,
-                            _ => true,
+        let mut next = Some((ctx_trace, input));
+        while let Some((ctx_trace, input)) = next {
+            automaton.on_input(input, &mut actions);
+            for action in actions.drain(..) {
+                match action {
+                    Action::Send { to, msg } => {
+                        mx.msgs_out.inc();
+                        let req = msg.request_id();
+                        // Requests belong to the operation in flight on the
+                        // register (robust across retransmits from timers);
+                        // acks to the request that asked for them.
+                        let trace = if msg.is_request() {
+                            let trace = pending.trace_of(req.reg);
+                            flight.record(stamp(
+                                FlightEvent::new(EventKind::RoundSent)
+                                    .with_register(req.reg.0)
+                                    .with_aux(pack_wire_aux(to.0, req.nonce, false)),
+                                trace,
+                            ));
+                            trace
+                        } else {
+                            let trace = req_traces.get(&req);
+                            let durable = match &msg {
+                                rmem_types::Message::ReadAck { durable, .. } => *durable,
+                                _ => true,
+                            };
+                            flight.record(stamp(
+                                FlightEvent::new(EventKind::AckSent)
+                                    .with_register(req.reg.0)
+                                    .with_aux(pack_wire_aux(to.0, req.nonce, durable)),
+                                trace,
+                            ));
+                            trace
                         };
-                        flight.record(stamp(
-                            FlightEvent::new(EventKind::AckSent)
-                                .with_register(req.reg.0)
-                                .with_aux(pack_wire_aux(to.0, req.nonce, durable)),
-                            trace,
-                        ));
-                        trace
-                    };
-                    // Fair-lossy: a failed send is a lost message.
-                    let _ = transport.send_traced(to, &msg, trace);
-                }
-                Action::Store { token, key, bytes } => {
-                    mx.stores_queued.inc();
-                    flight.record(stamp(
-                        FlightEvent::new(EventKind::StoreQueued).with_aux(token.0),
-                        ctx_trace,
-                    ));
-                    if let Some(trace) = ctx_trace {
-                        token_traces.insert(token.0, trace);
+                        // Fair-lossy: a failed send is a lost message.
+                        let _ = transport.send_traced(to, &msg, trace);
                     }
-                    syncer.submit(StoreRequest { token, key, bytes });
-                }
-                Action::SetTimer { token, after } => {
-                    let seq = *timer_seq;
-                    *timer_seq += 1;
-                    timer_tokens.insert(seq, token);
-                    timers.push(Reverse((Instant::now() + Duration::from(after), seq)));
-                }
-                Action::Complete {
-                    op,
-                    result,
-                    rounds,
-                    lease,
-                } => {
-                    if let Some((reply, token, started, trace)) = pending.complete(op) {
-                        mx.ops_completed.inc();
-                        if obs.metrics.is_enabled() {
-                            mx.op_micros.record(started.elapsed().as_micros() as u64);
+                    Action::Store { token, key, bytes } => {
+                        mx.stores_queued.inc();
+                        flight.record(stamp(
+                            FlightEvent::new(EventKind::StoreQueued).with_aux(token.0),
+                            ctx_trace,
+                        ));
+                        if let Some(trace) = ctx_trace {
+                            token_traces.insert(token.0, trace);
                         }
-                        let ev =
-                            FlightEvent::new(EventKind::OpComplete).with_aux(u64::from(rounds));
-                        flight.record(match trace {
-                            Some(t) => ev.with_op(t.client, t.op),
-                            None => ev.with_op(op.pid.0, op.counter),
-                        });
-                        let _ = reply.send((token, result, rounds, lease));
+                        syncer.submit(StoreRequest { token, key, bytes });
+                    }
+                    Action::SetTimer { token, after } => {
+                        let seq = *timer_seq;
+                        *timer_seq += 1;
+                        timer_tokens.insert(seq, token);
+                        timers.push(Reverse((Instant::now() + Duration::from(after), seq)));
+                    }
+                    Action::Complete {
+                        op,
+                        result,
+                        rounds,
+                        lease,
+                    } => {
+                        if let Some((reply, token, started, trace)) = pending.complete(op) {
+                            mx.ops_completed.inc();
+                            if obs.metrics.is_enabled() {
+                                mx.op_micros.record(started.elapsed().as_micros() as u64);
+                            }
+                            let ev =
+                                FlightEvent::new(EventKind::OpComplete).with_aux(u64::from(rounds));
+                            flight.record(match trace {
+                                Some(t) => ev.with_op(t.client, t.op),
+                                None => ev.with_op(op.pid.0, op.counter),
+                            });
+                            let _ = reply.send((token, result, rounds, lease));
+                        }
                     }
                 }
             }
+            next = (pending.ready.pop()).map(|(inv, at)| start(pending, inv, Some(at)));
         }
     };
 
@@ -937,21 +972,9 @@ fn run_loop(
                 }
             },
             recv(control) -> ctl => match ctl {
-                Ok(RunnerEvent::Invoke { operation, reply, token, trace }) => {
-                    let reg = operation.register();
-                    if pending.is_busy(reg) {
-                        let _ =
-                            reply.send((token, OpResult::Rejected(RejectReason::Busy), 0, None));
-                    } else {
-                        let op = OpId::new(me, op_counter);
-                        op_counter += 1;
-                        mx.ops_started.inc();
-                        let ev = FlightEvent::new(EventKind::OpStart).with_register(reg.0);
-                        flight.record(match trace {
-                            Some(t) => ev.with_op(t.client, t.op),
-                            None => ev.with_op(op.pid.0, op.counter),
-                        });
-                        pending.admit(op, reg, reply, token, trace);
+                Ok(RunnerEvent::Invoke(inv)) => match pending.arrive(inv) {
+                    Some(inv) => {
+                        let (trace, input) = start(&mut pending, inv, None);
                         step(
                             &mut automaton,
                             &syncer,
@@ -962,8 +985,14 @@ fn run_loop(
                             &mut req_traces,
                             &mut token_traces,
                             trace,
-                            Input::Invoke { op, operation },
+                            input,
                         );
+                    }
+                    None => mx.queued.inc(),
+                },
+                Ok(RunnerEvent::Withdraw { reg, family, token }) => {
+                    if pending.withdraw(reg, family, token) {
+                        mx.withdrawn.inc();
                     }
                 }
                 Ok(RunnerEvent::Shutdown) | Err(_) => break,
@@ -971,14 +1000,14 @@ fn run_loop(
             default(patience) => {}
         }
     }
-    // Every exit path lands here. Fail what will never complete: first
-    // the admitted in-flight operations, then invocations still queued
-    // on the control channel (or racing in as the loop exits) — without
-    // this, a pipelined waiter would burn its full patience window on an
+    // Every exit path lands here. Fail what will never complete: the
+    // admitted and queued operations, and the invocations still on the
+    // control channel (or racing in as the loop exits) — without this, a
+    // pipelined waiter would burn its full patience window on an
     // operation whose emulation is gone.
     while let Ok(ev) = control.try_recv() {
-        if let RunnerEvent::Invoke { reply, token, .. } = ev {
-            let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0, None));
+        if let RunnerEvent::Invoke(inv) = ev {
+            pending.ready.push((inv, Instant::now()));
         }
     }
     pending.drain_shutdown();
@@ -1037,29 +1066,85 @@ mod tests {
     }
 
     #[test]
-    fn second_invocation_while_busy_is_rejected() {
+    fn second_invocation_while_busy_queues_and_completes_in_order() {
         let runners = spin_cluster(3);
-        let client = runners[0].client();
-        // Saturate: issue a write from another thread and race a read.
-        // (Raciness is fine: either the read waits its turn via the
-        // channel and succeeds after, or it lands mid-write and is Busy.)
-        let c2 = client.clone();
-        let t = std::thread::spawn(move || c2.write(Value::from_u32(1)));
-        let read_result = client.read().map(|_| ()); // Ok or Busy — must not hang
-        let write_result = t.join().unwrap();
-        for r in [&read_result, &write_result] {
-            assert!(
-                matches!(r, Ok(()) | Err(ClientError::Busy)),
-                "unexpected outcome: {r:?}"
-            );
+        let pipe = runners[0].client().pipelined();
+        // Two writes and a read on the one register, submitted back to
+        // back: the later ones queue behind the first and run in
+        // submission order, so the read sees the second write.
+        let first = pipe.submit(0, Op::Write(Value::from_u32(1))).unwrap();
+        let second = pipe.submit(0, Op::Write(Value::from_u32(2))).unwrap();
+        let read = pipe.submit(0, Op::Read).unwrap();
+        let read = pipe.wait(read).expect("the queued read completes");
+        assert_eq!(read.0, OpResult::ReadValue(Value::from_u32(2)));
+        for write in [first, second] {
+            assert_eq!(pipe.wait(write).expect("write").0, OpResult::Written);
         }
-        assert!(
-            read_result.is_ok() || write_result.is_ok(),
-            "at most one of the racing operations may be refused"
-        );
         for r in runners {
             r.stop();
         }
+    }
+
+    fn invocation(reg: u16, family: u64, token: u64, reply: &Sender<Completion>) -> Invocation {
+        Invocation {
+            operation: Op::ReadAt(RegisterId(reg)),
+            reply: reply.clone(),
+            family,
+            token,
+            trace: None,
+        }
+    }
+
+    fn op(counter: u64) -> OpId {
+        OpId::new(ProcessId(0), counter)
+    }
+
+    #[test]
+    fn op_table_admits_same_register_invocations_in_fifo_order() {
+        let (tx, _rx) = unbounded();
+        let mut table = OpTable::default();
+        let first = table.arrive(invocation(0, 1, 1, &tx));
+        table.admit(op(1), first.expect("a free register admits at once"));
+        assert!(table.arrive(invocation(0, 1, 2, &tx)).is_none());
+        assert!(table.arrive(invocation(0, 1, 3, &tx)).is_none());
+        // Another register is not held up by register 0's queue.
+        assert!(table.arrive(invocation(1, 1, 4, &tx)).is_some());
+        assert!(table.ready.is_empty());
+        // Each completion releases exactly the next arrival.
+        assert!(table.complete(op(1)).is_some());
+        let (next, _) = table.ready.pop().expect("the completion dequeues");
+        assert_eq!(next.token, 2);
+        assert!(table.ready.is_empty(), "one admission per completion");
+        table.admit(op(2), next);
+        assert!(table.complete(op(2)).is_some());
+        assert_eq!(table.ready.pop().expect("dequeued").0.token, 3);
+    }
+
+    #[test]
+    fn withdrawn_invocation_never_starts_and_halt_fails_the_queue() {
+        let (tx, rx) = unbounded();
+        let mut table = OpTable::default();
+        table.admit(op(1), invocation(0, 1, 1, &tx));
+        assert!(table.arrive(invocation(0, 1, 2, &tx)).is_none());
+        assert!(table.arrive(invocation(0, 1, 3, &tx)).is_none());
+        assert!(!table.withdraw(RegisterId(0), 9, 2), "another family");
+        assert!(!table.withdraw(RegisterId(0), 1, 1), "admitted ops stay");
+        assert!(table.withdraw(RegisterId(0), 1, 2));
+        assert!(!table.withdraw(RegisterId(0), 1, 2), "withdrawn once");
+        // The withdrawn invocation is skipped: token 3 is next.
+        assert!(table.complete(op(1)).is_some());
+        let (next, _) = table.ready.pop().expect("dequeued");
+        assert_eq!(next.token, 3);
+        table.admit(op(2), next);
+        assert!(table.arrive(invocation(0, 1, 4, &tx)).is_none());
+        // A halt fails the admitted op and the queued one, and nothing
+        // reaches the withdrawn invocation.
+        table.drain_shutdown();
+        let mut failed: Vec<_> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        failed.sort_by_key(|(token, ..)| *token);
+        let shutdown = OpResult::Rejected(RejectReason::Shutdown);
+        let expected = [(3, shutdown.clone(), 0, None), (4, shutdown, 0, None)];
+        assert_eq!(failed, expected);
     }
 
     #[test]
@@ -1075,8 +1160,8 @@ mod tests {
             })
             .collect();
         let client = runners[0].client();
-        // Many threads, one register each: every operation must succeed —
-        // Busy would mean the runner still serializes across registers.
+        // Many threads, one register each: every operation succeeds and
+        // reads back its own register's value.
         let handles: Vec<_> = (0..8u16)
             .map(|r| {
                 let c = client.clone();

@@ -80,15 +80,6 @@ proptest! {
                                 Ok(()) => {
                                     history.lock().unwrap().reply(op, OpResult::Written);
                                 }
-                                Err(rmem_net::ClientError::Busy) => {
-                                    // Same-register overlap through one node:
-                                    // a legal refusal — the checkers ignore
-                                    // rejected invocations.
-                                    history.lock().unwrap().reply(
-                                        op,
-                                        OpResult::Rejected(rmem_types::RejectReason::Busy),
-                                    );
-                                }
                                 Err(e) => panic!("write failed: {e}"),
                             }
                         } else {
@@ -103,12 +94,6 @@ proptest! {
                                         .unwrap()
                                         .reply(op, OpResult::ReadValue(v));
                                     rounds.lock().unwrap().push(r);
-                                }
-                                Err(rmem_net::ClientError::Busy) => {
-                                    history.lock().unwrap().reply(
-                                        op,
-                                        OpResult::Rejected(rmem_types::RejectReason::Busy),
-                                    );
                                 }
                                 Err(e) => panic!("read failed: {e}"),
                             }

@@ -191,10 +191,6 @@ fn wal_backed_cluster_survives_kill_recover_certified() {
                             let op = history.lock().unwrap().invoke(hpid, Op::ReadAt(reg));
                             match client.read_at(reg) {
                                 Ok(v) => history.lock().unwrap().reply(op, OpResult::ReadValue(v)),
-                                Err(ClientError::Busy) => history
-                                    .lock()
-                                    .unwrap()
-                                    .reply(op, OpResult::Rejected(rmem_types::RejectReason::Busy)),
                                 Err(e) => panic!("read failed: {e}"),
                             }
                         } else {
@@ -205,10 +201,6 @@ fn wal_backed_cluster_survives_kill_recover_certified() {
                                 .invoke(hpid, Op::WriteAt(reg, val.clone()));
                             match client.write_at(reg, val) {
                                 Ok(()) => history.lock().unwrap().reply(op, OpResult::Written),
-                                Err(ClientError::Busy) => history
-                                    .lock()
-                                    .unwrap()
-                                    .reply(op, OpResult::Rejected(rmem_types::RejectReason::Busy)),
                                 Err(e) => panic!("write failed: {e}"),
                             }
                         }
