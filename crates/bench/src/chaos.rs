@@ -35,7 +35,7 @@ pub fn chaos_config(seed: u64, smoke: bool) -> ChaosConfig {
             wal_every: 3,
             shard_path: vec![4, 8],
             writers: 2,
-            ops_per_writer: 8,
+            ops_per_writer: 30,
             crashers: 3,
             windows: 3,
             max_concurrent_down: 2,

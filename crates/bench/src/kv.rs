@@ -149,7 +149,8 @@ struct Cell {
     /// Full-size ops per client (smoke always runs 24). The lease
     /// section caps this at 48: with 4 shards the Zipf(0.99) hot key
     /// draws ~48% of all operations onto one register, and the
-    /// linearization certifier is exponential past ~128 ops/register.
+    /// linearization certifier's search is exponential in how many of a
+    /// register's ops overlap.
     full_ops: usize,
 }
 

@@ -21,9 +21,10 @@
 //! [`rmem_kv::certify_per_key_epochs`] before anything is reported (a
 //! throughput number for a migration protocol that breaks atomicity would
 //! be meaningless). The split is because the decision-procedure checker
-//! caps a register's history at 128 operations: a full-speed Zipf run
-//! piles thousands of operations onto the hot key, so the certified
-//! witness is volume-bounded while the measured run is not. The
+//! searches at most 128 operations between two quiescent cuts of a
+//! register's history: a full-speed Zipf run piles thousands of
+//! overlapping operations onto the hot key, so the certified witness is
+//! volume-bounded while the measured run is not. The
 //! exhaustive certification sweep (crash schedules included) lives in
 //! `crates/kv/tests/reshard_races.rs`.
 

@@ -5,7 +5,7 @@ use rmem_types::OpId;
 
 use crate::history::History;
 use crate::intervals::{extract, CompletionRule, IntervalOp};
-use crate::linearize::linearize_register;
+use crate::linearize::{linearize_register, Inconclusive};
 
 /// A successful verdict: the history satisfies the criterion, witnessed by
 /// a legal sequential order.
@@ -33,6 +33,8 @@ pub enum Violation {
     /// `check_linearizable` was given a history containing crash or
     /// recovery events.
     CrashEventsPresent,
+    /// The search gave up: the history is neither certified nor refuted.
+    Inconclusive(Inconclusive),
 }
 
 impl std::fmt::Display for Violation {
@@ -43,11 +45,16 @@ impl std::fmt::Display for Violation {
             Violation::CrashEventsPresent => {
                 write!(f, "linearizability applies to crash-free histories only")
             }
+            Violation::Inconclusive(why) => write!(f, "inconclusive: {why}"),
         }
     }
 }
 
 impl std::error::Error for Violation {}
+
+/// Pending writes per register past which the keep/drop enumeration
+/// (2^w completions) gives up.
+const MAX_PENDING_WRITES: usize = 20;
 
 fn check_with_rule(history: &History, rule: CompletionRule) -> Result<Verdict, Violation> {
     // Multi-register histories: linearizability is local, so check each
@@ -77,13 +84,14 @@ fn check_with_rule(history: &History, rule: CompletionRule) -> Result<Verdict, V
 
     let intervals = extract(history, rule);
     let w = intervals.optional_writes.len();
-    assert!(
-        w < 20,
-        "too many pending writes to enumerate completions ({w})"
-    );
+    if w >= MAX_PENDING_WRITES {
+        return Err(Violation::Inconclusive(Inconclusive::PendingWrites(w)));
+    }
 
     // Enumerate keep/drop subsets of pending writes, smallest first: the
-    // most common witness keeps nothing.
+    // most common witness keeps nothing. A subset the search gives up on
+    // leaves the verdict open unless a later one linearizes.
+    let mut gave_up = None;
     for subset in 0u32..(1u32 << w) {
         let mut ops: Vec<IntervalOp> = intervals.fixed.clone();
         let mut kept = Vec::new();
@@ -93,12 +101,19 @@ fn check_with_rule(history: &History, rule: CompletionRule) -> Result<Verdict, V
                 kept.push(pw.op);
             }
         }
-        if let Some(witness) = linearize_register(&ops) {
-            return Ok(Verdict {
-                witness,
-                kept_pending: kept,
-            });
+        match linearize_register(&ops) {
+            Ok(Some(witness)) => {
+                return Ok(Verdict {
+                    witness,
+                    kept_pending: kept,
+                })
+            }
+            Ok(None) => {}
+            Err(why) => gave_up = Some(why),
         }
+    }
+    if let Some(why) = gave_up {
+        return Err(Violation::Inconclusive(why));
     }
     Err(Violation::NotAtomic {
         rule: match rule {
@@ -231,6 +246,37 @@ mod tests {
         assert!(check_persistent(&h).is_ok());
         assert!(check_transient(&h).is_ok());
         assert!(check_linearizable(&h).is_ok());
+    }
+
+    #[test]
+    fn long_histories_are_checked_past_the_search_cap() {
+        // 400 sequential ops: no stretch between quiescent cuts is long.
+        let mut h = History::new();
+        for i in 0..200 {
+            h.complete_write(p(0), v(i));
+            h.complete_read(p(1), v(i));
+        }
+        assert!(check_persistent(&h).is_ok());
+        h.complete_read(p(1), v(3));
+        assert!(matches!(
+            check_persistent(&h),
+            Err(Violation::NotAtomic { .. })
+        ));
+    }
+
+    #[test]
+    fn too_many_pending_writes_is_inconclusive_not_a_panic() {
+        let mut h = History::new();
+        for i in 0..MAX_PENDING_WRITES as u16 {
+            h.invoke(p(i), Op::Write(v(u32::from(i))));
+            h.crash(p(i));
+        }
+        assert_eq!(
+            check_persistent(&h),
+            Err(Violation::Inconclusive(Inconclusive::PendingWrites(
+                MAX_PENDING_WRITES
+            )))
+        );
     }
 
     #[test]

@@ -63,5 +63,6 @@ pub use freshness::{
     check_freshness, FreshnessKind, FreshnessOp, FreshnessReport, FreshnessViolation,
 };
 pub use history::{Event, History, WellFormedError};
+pub use linearize::Inconclusive;
 pub use regular::{check_regular_swmr, check_safe_swmr};
 pub use shrink::shrink;

@@ -134,7 +134,7 @@ mod tests {
             ],
         ];
         for ops in cases {
-            let fast = linearize_register(&ops).is_some();
+            let fast = linearize_register(&ops).unwrap().is_some();
             let slow = brute_force_linearize(&ops).is_some();
             assert_eq!(fast, slow, "disagreement on {ops:?}");
         }

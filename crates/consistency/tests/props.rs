@@ -1,11 +1,12 @@
 //! Property tests cross-validating the Wing–Gong search checker against a
 //! brute-force permutation oracle on randomly generated small interval
-//! histories, plus random-history sanity properties of the atomicity
-//! checkers.
+//! histories and its cut-by-cut form against one search over the whole
+//! history on histories of up to 128 ops, plus random-history sanity
+//! properties of the atomicity checkers.
 
 use proptest::prelude::*;
 use rmem_consistency::intervals::IntervalOp;
-use rmem_consistency::linearize::linearize_register;
+use rmem_consistency::linearize::{linearize_monolithic, linearize_register, MAX_OPS};
 use rmem_consistency::oracle::brute_force_linearize;
 use rmem_consistency::{check_persistent, check_transient, History};
 use rmem_types::{Op, OpId, OpKind, OpResult, ProcessId, Value};
@@ -13,12 +14,19 @@ use rmem_types::{Op, OpId, OpKind, OpResult, ProcessId, Value};
 /// Random interval operations over a tiny value domain, with intervals
 /// drawn over a small index space (overlap is common).
 fn arb_interval_ops(max_ops: usize) -> impl Strategy<Value = Vec<IntervalOp>> {
+    arb_spread_ops(max_ops, 12)
+}
+
+/// As [`arb_interval_ops`], with invocations drawn from `0..span`: a span
+/// that grows with the op count leaves quiescent cuts between the
+/// overlapping stretches.
+fn arb_spread_ops(max_ops: usize, span: usize) -> impl Strategy<Value = Vec<IntervalOp>> {
     proptest::collection::vec(
         (
             0u16..3,         // pid
             prop::bool::ANY, // is write
             0u32..3,         // value
-            0usize..12,      // inv
+            0usize..span,    // inv
             1usize..6,       // duration
         ),
         0..=max_ops,
@@ -52,6 +60,68 @@ fn arb_interval_ops(max_ops: usize) -> impl Strategy<Value = Vec<IntervalOp>> {
     })
 }
 
+/// Interval operations that linearize by construction: each op takes
+/// effect at a point inside its interval and each read returns the value
+/// at its point, except that about one read in twenty returns a random
+/// value instead.
+fn arb_near_legal_ops(max_ops: usize) -> impl Strategy<Value = Vec<IntervalOp>> {
+    proptest::collection::vec(
+        (
+            (
+                0u16..3,         // pid
+                prop::bool::ANY, // is write
+                1u32..4,         // value
+            ),
+            (
+                0usize..2 * max_ops, // inv
+                1usize..6,           // duration
+                0usize..6,           // effect point, as an offset into the interval
+                0u8..20,             // 0: the read returns `value` instead
+            ),
+        ),
+        0..=max_ops,
+    )
+    .prop_map(|raw| {
+        let point = |i: usize| {
+            let (_, (inv, dur, offset, _)) = raw[i];
+            inv + offset % dur
+        };
+        let mut by_point: Vec<usize> = (0..raw.len()).collect();
+        by_point.sort_by_key(|&i| (point(i), i));
+        let mut reads = vec![None; raw.len()];
+        let mut current = Value::bottom();
+        for i in by_point {
+            let ((_, is_write, v), (_, _, _, corrupt)) = raw[i];
+            if is_write {
+                current = Value::from_u32(v);
+            } else if corrupt == 0 {
+                reads[i] = Some(Value::from_u32(v));
+            } else {
+                reads[i] = Some(current.clone());
+            }
+        }
+        raw.iter()
+            .zip(reads)
+            .enumerate()
+            .map(
+                |(i, (&((pid, is_write, v), (inv, dur, _, _)), read))| IntervalOp {
+                    op: OpId::new(ProcessId(pid), i as u64),
+                    kind: if is_write {
+                        OpKind::Write
+                    } else {
+                        OpKind::Read
+                    },
+                    write_value: is_write.then(|| Value::from_u32(v)),
+                    read_value: read,
+                    inv,
+                    end: inv + dur,
+                    pending: false,
+                },
+            )
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -59,16 +129,32 @@ proptest! {
     /// random interval history.
     #[test]
     fn checker_matches_oracle(ops in arb_interval_ops(6)) {
-        let fast = linearize_register(&ops).is_some();
+        let fast = linearize_register(&ops).unwrap().is_some();
         let slow = brute_force_linearize(&ops).is_some();
         prop_assert_eq!(fast, slow, "disagreement on {:?}", ops);
+    }
+
+    /// Splitting at quiescent cuts changes no verdict: the cut-by-cut
+    /// search and one search over the whole history agree on every
+    /// history the generators here produce, up to `MAX_OPS` ops.
+    #[test]
+    fn cut_search_matches_monolithic_search(
+        small in arb_interval_ops(6),
+        spread in arb_spread_ops(MAX_OPS, 2 * MAX_OPS),
+        near_legal in arb_near_legal_ops(MAX_OPS),
+    ) {
+        for ops in [small, spread, near_legal] {
+            let cut = linearize_register(&ops).unwrap().is_some();
+            let whole = linearize_monolithic(&ops).unwrap().is_some();
+            prop_assert_eq!(cut, whole, "disagreement on {:?}", ops);
+        }
     }
 
     /// A returned witness is itself a valid linearization: precedence and
     /// register semantics hold along it.
     #[test]
     fn witness_is_sound(ops in arb_interval_ops(6)) {
-        if let Some(witness) = linearize_register(&ops) {
+        if let Some(witness) = linearize_register(&ops).unwrap() {
             prop_assert_eq!(witness.len(), ops.len());
             // Replay the witness.
             let pos: std::collections::HashMap<_, _> =

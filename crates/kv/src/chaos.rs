@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,8 +55,10 @@ pub struct ChaosConfig {
     pub shard_path: Vec<u16>,
     /// Steady exactly-once writer threads.
     pub writers: u16,
-    /// Minimum puts per steady writer (they keep writing until the fault
-    /// schedule has drained, so traffic spans the whole horizon).
+    /// Puts per client, paced evenly over the horizon: a steady writer
+    /// makes exactly this many, a crasher at most this many before its
+    /// crash. Op counts, not the wall clock, size the history, so its
+    /// length does not depend on how fast the host is.
     pub ops_per_writer: usize,
     /// Crash-injected exactly-once clients; crasher `i` dies at write
     /// phase `i mod 3` (pre-send / mid-round / post-quorum).
@@ -82,7 +84,7 @@ impl Default for ChaosConfig {
             wal_every: 5,
             shard_path: vec![4, 8, 16],
             writers: 3,
-            ops_per_writer: 15,
+            ops_per_writer: 40,
             crashers: 3,
             windows: 4,
             max_concurrent_down: 3,
@@ -139,6 +141,17 @@ impl std::error::Error for ChaosFailure {}
 
 /// Tag namespace offset separating crasher clients from steady writers.
 const CRASHER_BASE: u16 = 1_000;
+
+/// How often a crasher with no puts left checks for its crash signal.
+const CRASH_POLL: Duration = Duration::from_millis(1);
+
+/// Spreads a client's op budget over the fault horizon: sleeps for the
+/// rest of the horizon (which ends at `end`) divided by the `remaining`
+/// ops, and not at all once the horizon has passed.
+fn pace(end: Instant, remaining: usize) {
+    let left = end.saturating_duration_since(Instant::now());
+    std::thread::sleep(left / u32::try_from(remaining).unwrap_or(u32::MAX));
+}
 
 fn lower_phase(phase: WritePhase) -> CrashPoint {
     match phase {
@@ -235,9 +248,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
     let crashed_ops: Mutex<Vec<(u16, CrashPoint, Option<OpTag>)>> = Mutex::new(Vec::new());
     let mut applied = Vec::new();
 
+    let horizon_end = Instant::now() + cfg.horizon;
     std::thread::scope(|scope| {
-        // Steady exactly-once writers: keep traffic flowing for the whole
-        // fault horizon, at least `ops_per_writer` puts each.
+        // Steady exactly-once writers: `ops_per_writer` puts each, spread
+        // over the whole fault horizon.
         for w in 0..cfg.writers {
             let id = w + 1;
             let client = base
@@ -246,12 +260,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
             let keys = &keys;
             let completed = &completed;
             let ambiguous = &ambiguous;
-            let faults_done = &faults_done;
             let mut rng = StdRng::seed_from_u64(cfg.seed * 131 + u64::from(id));
             scope.spawn(move || {
-                let mut counter = 0u64;
-                while counter < cfg.ops_per_writer as u64 || !faults_done.load(Ordering::Relaxed) {
-                    counter += 1;
+                for done in 0..cfg.ops_per_writer {
+                    pace(horizon_end, cfg.ops_per_writer - done);
+                    let counter = done as u64 + 1;
                     let key = &keys[rng.gen_range(0..keys.len())];
                     let value = (u64::from(id) << 32 | counter).to_be_bytes().to_vec();
                     match client.put(key, value) {
@@ -265,15 +278,14 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
                             ambiguous.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    std::thread::sleep(Duration::from_micros(rng.gen_range(200..1_500)));
                 }
             });
         }
-        // Crash-injected clients: normal exactly-once traffic until their
-        // planned crash signal (or the schedule drains), then die at
-        // their write phase, leaving the journal and an orphaned op
-        // behind. The injection always happens, so every phase is covered
-        // regardless of signal timing.
+        // Crash-injected clients: normal exactly-once traffic, at most
+        // `ops_per_writer` puts, until their planned crash signal (or
+        // the schedule drains), then die at their write phase, leaving
+        // the journal and an orphaned op behind. The injection always
+        // happens, so every phase is covered regardless of signal timing.
         for c in 0..cfg.crashers {
             let id = CRASHER_BASE + c;
             let client = base
@@ -288,9 +300,14 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
             let crashed_ops = &crashed_ops;
             let mut rng = StdRng::seed_from_u64(cfg.seed * 733 + u64::from(id));
             scope.spawn(move || {
-                let mut counter = 0u64;
-                while !flag.load(Ordering::Relaxed) && !faults_done.load(Ordering::Relaxed) {
-                    counter += 1;
+                let signalled =
+                    || flag.load(Ordering::Relaxed) || faults_done.load(Ordering::Relaxed);
+                for done in 0..cfg.ops_per_writer {
+                    pace(horizon_end, cfg.ops_per_writer - done);
+                    if signalled() {
+                        break;
+                    }
+                    let counter = done as u64 + 1;
                     let key = &keys[rng.gen_range(0..keys.len())];
                     let value = (u64::from(id) << 32 | counter).to_be_bytes().to_vec();
                     match client.put(key, value) {
@@ -301,7 +318,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
                             ambiguous.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    std::thread::sleep(Duration::from_micros(rng.gen_range(200..1_500)));
+                }
+                // Out of budget before the signal: idle until it comes.
+                while !signalled() {
+                    std::thread::sleep(CRASH_POLL);
                 }
                 let key = &keys[rng.gen_range(0..keys.len())];
                 let value = (u64::from(id) << 32 | 0xDEAD).to_be_bytes().to_vec();

@@ -871,9 +871,10 @@ fn run_loop(
             .map(|Reverse((deadline, _))| deadline.saturating_duration_since(Instant::now()))
             .unwrap_or(Duration::from_millis(100));
 
-        // Drain the network first (bounded batch), then completed
-        // commits, then the control channel, then sleep until the next
-        // timer.
+        // Sweep in a fixed order: the network first, then completed
+        // commits, then the control channel. When none is ready, sleep
+        // until a send on any of the three (or the drop of its last
+        // sender) wakes the loop, or until the next timer is due.
         crossbeam::channel::select! {
             recv(inbox) -> net => if let Ok(Inbound { from, msg, trace }) = net {
                 // (An Err means the transport is gone; the control channel
