@@ -4,25 +4,24 @@
 //!
 //! Every register operation costs two quorum round-trips (SnReq/SnAck,
 //! then Write/WriteAck or Read/ReadAck) regardless of how much it carries.
-//! The engine therefore coalesces the store operations of a batch that
-//! land on one shard into a *single* register operation:
+//! The engine therefore coalesces the keys of a `multi_put`/`multi_get`
+//! that land on one shard into a *single* register operation:
 //!
 //! * **puts** — one `SnReq` round amortized over the batch: the coalesced
 //!   entries (last write wins per key, batch order) become one composite
 //!   entry-map payload ([`rmem_kv::codec::encode_entries`]) written in one
-//!   quorum round;
-//! * **gets** — one `Read` round whose payload serves every queued get on
-//!   the shard ([`rmem_kv::codec::value_for_key`]).
+//!   quorum round, chunked by 16 keys and the transport frame budget;
+//! * **gets** — one `Read` round whose payload serves every key of the
+//!   batch on the shard ([`rmem_kv::codec::value_for_key`]).
 //!
-//! Two batching paths share that machinery: `multi_put`/`multi_get`
-//! batches are fully formed on arrival and flush immediately (chunked by
-//! the policy's `max_batch` and the transport frame budget), while singles
-//! (`put`/`get`) pass through the concurrent operation table
-//! (`crate::table`), where the policy's `max_linger` lets concurrent
-//! callers coalesce. Either way a flush's rounds run as one batch of raw
+//! There is one batching path: a call's rounds run as one batch of raw
 //! register ops on the wrapped client's op engine
 //! ([`KvClient::raw_reads`], [`KvClient::raw_writes`]), all in flight at
-//! once from the calling thread.
+//! once from the calling thread. The keys a bundle cannot serve — those
+//! behind a split's write barrier, a read miss under a foreign epoch
+//! stamp, the entries of a write round the epoch guard aborted — take
+//! one per-key `KvClient::multi_get`/`multi_put` per call. Singles
+//! (`put`/`get`) are plain [`KvClient`] operations.
 //!
 //! # Why per-key certification still holds
 //!
@@ -31,15 +30,15 @@
 //! register operation is* — only how many store-level operations one
 //! register operation carries:
 //!
-//! * A flush is still one ordinary register write (or read) of the
+//! * A bundle round is still one ordinary register write (or read) of the
 //!   emulation, so the per-register history is exactly as atomic as the
 //!   underlying flavor guarantees; nothing new to prove at that level.
 //! * Coalescing k same-key puts into one write of the *last* value is a
 //!   legal linearization of those k puts: they were concurrent (all
 //!   in-flight in one batch), so some order was always permissible, and
-//!   the batch serves them in arrival order with the last one visible —
-//!   each earlier put's ack truthfully means "my write was applied and
-//!   then superseded within the same atomic step".
+//!   the batch serves them in input order with the last one visible —
+//!   each earlier put's success truthfully means "my write was applied
+//!   and then superseded within the same atomic step".
 //! * Under an injective key↔shard map (what certification requires even
 //!   unbatched — colliding universes are refused up front) a coalesced
 //!   payload carries exactly one key, so the certifier's decode step maps
@@ -54,17 +53,15 @@
 //! the same criterion, as its unbatched equivalent.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
 use rmem_kv::{codec, KvClient, KvError, ShardMap};
 use rmem_obs::{Counter, Histogram};
-use rmem_types::{RegisterId, Value};
+use rmem_types::RegisterId;
 
-use crate::policy::FlushPolicy;
-use crate::table::{Enqueued, OpTable, QueuedGet, QueuedPut};
+/// Most distinct keys one write round carries.
+const MAX_BATCH: usize = 16;
 
 /// Running totals of the engine's amortization (all clones share them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,10 +83,13 @@ impl BatchStats {
     }
 }
 
-struct Shared {
+/// A batching store client over a [`KvClient`] (see module docs).
+///
+/// Cheap to clone; clones share the wrapped client's engine, health
+/// memory and metrics, and so the stats.
+#[derive(Debug, Clone)]
+pub struct BatchedKv {
     kv: KvClient,
-    policy: FlushPolicy,
-    table: OpTable,
     /// `batch.*` instruments, registered into the wrapped client's
     /// metrics registry so one snapshot ([`KvClient::metrics`]) covers
     /// the store stack: the amortization counters behind
@@ -98,431 +98,107 @@ struct Shared {
     logical_ops: Arc<Counter>,
     register_ops: Arc<Counter>,
     bundle_size: Arc<Histogram>,
-    /// The shard-map epoch the queues were last flushed under. A bundle
-    /// carries exactly one epoch stamp by construction (each flush
-    /// snapshots the map once); this additionally kicks every lingering
-    /// queue the moment the epoch moves, so no operation waits out a
-    /// linger window under routing that just changed.
-    epoch: AtomicU64,
-}
-
-/// A batching store client over a [`KvClient`] (see module docs).
-///
-/// Cheap to clone; clones share the operation table, the health memory
-/// and the stats, so concurrent callers coalesce.
-#[derive(Clone)]
-pub struct BatchedKv {
-    shared: Arc<Shared>,
-}
-
-impl std::fmt::Debug for BatchedKv {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchedKv")
-            .field("policy", &self.shared.policy)
-            .field("shards", &self.shared.kv.router().shards())
-            .finish()
-    }
 }
 
 impl BatchedKv {
-    /// Wraps `kv` with the given flush policy.
-    pub fn new(kv: KvClient, policy: FlushPolicy) -> Self {
-        assert!(policy.max_batch >= 1, "max_batch must be at least 1");
-        let table = OpTable::new(kv.router().shards() as usize);
-        let epoch = kv.epoch();
+    /// Wraps `kv`.
+    pub fn new(kv: KvClient) -> Self {
         let m = kv.metrics_registry().clone();
         BatchedKv {
-            shared: Arc::new(Shared {
-                logical_ops: m.counter("batch.logical_ops"),
-                register_ops: m.counter("batch.register_ops"),
-                bundle_size: m.histogram("batch.bundle_size"),
-                kv,
-                policy,
-                table,
-                epoch: AtomicU64::new(epoch),
-            }),
+            logical_ops: m.counter("batch.logical_ops"),
+            register_ops: m.counter("batch.register_ops"),
+            bundle_size: m.histogram("batch.bundle_size"),
+            kv,
         }
-    }
-
-    /// The coalescing bucket of `key` under `map`: the table's buckets
-    /// are fixed at construction, later epochs fold onto them (bucket ≠
-    /// register — every flush re-derives registers from the live map).
-    fn bucket_of(&self, map: &ShardMap, key: &str) -> usize {
-        map.shard_of(key) as usize % self.shared.table.len()
-    }
-
-    /// Epoch guard, run on every entry point: when the shard map's epoch
-    /// has moved since the last flush, kick every leaderless non-empty
-    /// queue so no operation lingers under superseded routing, and no
-    /// forming bundle straddles the epochs.
-    fn roll_epoch(&self, map: &ShardMap) {
-        let seen = self.shared.epoch.load(Ordering::Relaxed);
-        if map.epoch == seen {
-            return;
-        }
-        if self
-            .shared
-            .epoch
-            .compare_exchange(seen, map.epoch, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            for bucket in 0..self.shared.table.len() {
-                if self.shared.table.try_adopt(bucket) {
-                    // No linger: these batches are as formed as they will
-                    // get, and this runs on some victim operation's
-                    // thread — it must not serially pay every bucket's
-                    // linger window.
-                    let (puts, gets) = self.shared.table.collect_immediate(bucket);
-                    self.run_flush(puts, gets);
-                }
-            }
-        }
-    }
-
-    /// Whether `key` currently sits behind the migration write barrier
-    /// (its source shard is splitting): such operations bypass the
-    /// batching table and the bundles, and go through the epoch-aware
-    /// `KvClient` paths, which run the barrier / old-home-then-new-home
-    /// protocol per key.
-    fn is_barriered(&self, map: &ShardMap, key: &str) -> bool {
-        map.is_migrating() && map.is_split_source(map.old_shard_of(key))
     }
 
     /// The wrapped client.
     pub fn kv(&self) -> &KvClient {
-        &self.shared.kv
-    }
-
-    /// The flush policy in force.
-    pub fn policy(&self) -> FlushPolicy {
-        self.shared.policy
-    }
-
-    /// The linger window the next single-operation flush on `shard` would
-    /// wait: the fixed policy value, or — under
-    /// [`FlushPolicy::adaptive`] — the shard's current controller state
-    /// (grows with sustained queue depth, collapses when traffic dries
-    /// up). Observability hook for operators and tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is not below the wrapped router's shard count
-    /// (`self.kv().router().shards()`).
-    pub fn effective_linger(&self, shard: usize) -> std::time::Duration {
-        self.shared
-            .table
-            .effective_linger(shard, &self.shared.policy)
+        &self.kv
     }
 
     /// Amortization counters since construction.
     pub fn stats(&self) -> BatchStats {
         BatchStats {
-            logical_ops: self.shared.logical_ops.get(),
-            register_ops: self.shared.register_ops.get(),
+            logical_ops: self.logical_ops.get(),
+            register_ops: self.register_ops.get(),
         }
     }
 
-    // -- Singles: through the concurrent operation table -----------------
+    fn count(&self, logical: usize, register: usize) {
+        self.logical_ops.add(logical as u64);
+        self.register_ops.add(register as u64);
+    }
 
-    /// Stores `value` under `key`, riding a shared per-shard batch:
-    /// concurrent puts and gets on the same shard coalesce into single
-    /// quorum rounds (the policy bounds how long a lone operation waits
-    /// for company).
+    /// Stores `value` under `key`: one [`KvClient::put`], counted as one
+    /// logical and one register operation.
     ///
     /// # Errors
     ///
     /// As [`KvClient::put`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` exceeds [`codec::MAX_KEY_LEN`] (as
-    /// [`KvClient::put`] does) — checked *before* enqueueing, so an
-    /// invalid operation fails on its caller's thread instead of
-    /// panicking whichever thread leads the flush.
     pub fn put(&self, key: &str, value: impl Into<Bytes>) -> Result<(), KvError> {
-        let value = value.into();
-        self.check_put(key, value.len())?;
-        self.single(
-            key,
-            |kv| kv.put(key, value.clone()),
-            |table, bucket, done| {
-                let (key, value) = (key.to_string(), value.clone());
-                table.enqueue_put(bucket, QueuedPut { key, value, done }, &self.shared.policy)
-            },
-        )
+        self.count(1, 1);
+        self.kv.put(key, value)
     }
 
-    /// Reads `key`, riding a shared per-shard batch (see
-    /// [`put`](Self::put)).
+    /// Reads `key`: one [`KvClient::get`] (see [`put`](Self::put)).
     ///
     /// # Errors
     ///
     /// As [`KvClient::get`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` exceeds [`codec::MAX_KEY_LEN`] (on the caller's
-    /// thread; see [`put`](Self::put)).
     pub fn get(&self, key: &str) -> Result<Option<Bytes>, KvError> {
-        assert!(
-            key.len() <= codec::MAX_KEY_LEN,
-            "key longer than {} bytes",
-            codec::MAX_KEY_LEN
-        );
-        self.single(
-            key,
-            |kv| kv.get(key),
-            |table, bucket, done| {
-                let key = key.to_string();
-                table.enqueue_get(bucket, QueuedGet { key, done }, &self.shared.policy)
-            },
-        )
+        self.count(1, 1);
+        self.kv.get(key)
     }
-
-    /// One single-key operation: enqueued on its bucket (leading the
-    /// flush if it arrives first) and answered through `done`. A key
-    /// behind the migration write barrier bypasses the shared bundle —
-    /// the barrier and the old-home-then-new-home read fallback are per
-    /// key — and runs on the epoch-aware `KvClient` path instead.
-    fn single<T>(
-        &self,
-        key: &str,
-        per_key: impl FnOnce(&KvClient) -> Result<T, KvError>,
-        enqueue: impl FnOnce(&OpTable, usize, Sender<Result<T, KvError>>) -> Enqueued,
-    ) -> Result<T, KvError> {
-        self.shared.kv.sync_map()?;
-        let map = self.shared.kv.shard_map();
-        self.roll_epoch(&map);
-        if self.is_barriered(&map, key) {
-            self.shared.logical_ops.inc();
-            self.shared.register_ops.inc();
-            return per_key(&self.shared.kv);
-        }
-        let bucket = self.bucket_of(&map, key);
-        let (tx, rx) = bounded(1);
-        if enqueue(&self.shared.table, bucket, tx) == Enqueued::Leader {
-            self.lead_flush(bucket);
-        }
-        rx.recv().unwrap_or(Err(KvError::Register {
-            key: key.to_string(),
-            source: rmem_net::ClientError::ProcessDown,
-        }))
-    }
-
-    /// Validates a put before it enters the shared queue: an invalid key
-    /// panics the offender (matching `KvClient::put`'s contract), an
-    /// entry that alone cannot fit any frame is refused `TooLarge` here —
-    /// either failing inside the flush would hit the leader's thread and
-    /// poison the whole batch with misleading errors.
-    fn check_put(&self, key: &str, value_len: usize) -> Result<(), KvError> {
-        assert!(
-            key.len() <= codec::MAX_KEY_LEN,
-            "key longer than {} bytes",
-            codec::MAX_KEY_LEN
-        );
-        if let Some(max_value) = self.shared.kv.max_value_len() {
-            let entry_len = codec::ENTRY_OVERHEAD + key.len() + value_len;
-            if entry_len > max_value {
-                let overhead = rmem_types::codec::VALUE_MSG_OVERHEAD;
-                return Err(KvError::TooLarge {
-                    key: key.to_string(),
-                    size: entry_len + overhead,
-                    limit: max_value + overhead,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Collects the bucket's queue (lingering per policy) and executes it.
-    fn lead_flush(&self, bucket: usize) {
-        let (puts, gets) = self.shared.table.collect(bucket, &self.shared.policy);
-        self.run_flush(puts, gets);
-    }
-
-    /// Executes collected operations: one map snapshot per flush,
-    /// operations regrouped by their *live* register under that
-    /// snapshot, every bundle stamped with that one epoch — a bundle can
-    /// never straddle epochs.
-    fn run_flush(&self, puts: Vec<QueuedPut>, gets: Vec<QueuedGet>) {
-        let map = self.shared.kv.shard_map();
-        // Gets first: they observe the pre-batch cell, the batch's writes
-        // land after — any order is legal (everything in one flush is
-        // concurrent), this one keeps reads one round behind writes at
-        // most.
-        let keys: Vec<&str> = gets.iter().map(|get| get.key.as_str()).collect();
-        for (get, reply) in gets.iter().zip(self.read_keys(&keys, &map)) {
-            let _ = get.done.send(reply);
-        }
-        let puts = puts.into_iter().map(|p| (p.key, p.value, Some(p.done)));
-        // Every queued put hears its own outcome through its waiter.
-        let _ = self.write_puts(puts.collect(), &map);
-    }
-
-    // -- One-shot batches: multi-key operations --------------------------
 
     /// Writes many entries, **one quorum round per shard chunk**: the
     /// entries landing on one shard coalesce (last write per key wins,
-    /// in input order) into composite payloads, chunked by the policy's
-    /// `max_batch` and the transport frame budget; every chunk is one op
-    /// of the client's engine, all of them in flight at once, as in
-    /// [`KvClient::multi_put`].
+    /// in input order) into composite payloads, chunked by 16 keys and
+    /// the transport frame budget. Every chunk is one op of the
+    /// client's engine, all of them in flight at once, each stamped with
+    /// and guarded by the call's epoch (mirroring `KvClient::put`): if a
+    /// split publishes meanwhile, a round aborts un-issued rather than
+    /// landing behind a migration seal. Its entries, and the keys behind
+    /// a split's write barrier, then land through one
+    /// [`KvClient::multi_put`], which runs the barrier per key.
     ///
     /// # Errors
     ///
-    /// Returns the first failing chunk's [`KvError`]; other chunks still
-    /// ran to completion.
+    /// Returns the first failing round's [`KvError`], else the per-key
+    /// fallback's; every round and the fallback still ran to completion.
     pub fn multi_put<K: AsRef<str> + Sync>(&self, entries: &[(K, Bytes)]) -> Result<(), KvError> {
-        self.shared.kv.sync_map()?;
-        let map = self.shared.kv.shard_map();
-        self.roll_epoch(&map);
-        let puts = entries
-            .iter()
-            .map(|(k, v)| (k.as_ref().to_string(), v.clone(), None));
-        self.write_puts(puts.collect(), &map)
-    }
-
-    /// Reads many keys, **one quorum round per shard**: every key landing
-    /// on one shard is served from a single `Read` round's payload; the
-    /// rounds run concurrently on the client's engine. Results align
-    /// with the input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing key's [`KvError`]; every shard's round
-    /// still ran to completion.
-    pub fn multi_get<K: AsRef<str> + Sync>(
-        &self,
-        keys: &[K],
-    ) -> Result<Vec<Option<Bytes>>, KvError> {
-        self.shared.kv.sync_map()?;
-        let map = self.shared.kv.shard_map();
-        self.roll_epoch(&map);
-        let keys: Vec<&str> = keys.iter().map(AsRef::as_ref).collect();
-        self.read_keys(&keys, &map).into_iter().collect()
-    }
-
-    // -- Quorum rounds ---------------------------------------------------
-
-    /// Every key's value under `map`: one read round per register, all in
-    /// flight at once on the client's engine, every key on the register
-    /// served from its payload. Keys behind the migration write barrier
-    /// need the old-home-then-new-home fallback, which is per key: they
-    /// take the epoch-aware `KvClient` path instead.
-    fn read_keys(&self, keys: &[&str], map: &ShardMap) -> Vec<Result<Option<Bytes>, KvError>> {
-        let mut answers: Vec<Option<Result<Option<Bytes>, KvError>>> = vec![None; keys.len()];
-        let mut per_reg: BTreeMap<RegisterId, Vec<usize>> = BTreeMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            if self.is_barriered(map, key) {
-                self.shared.logical_ops.inc();
-                self.shared.register_ops.inc();
-                answers[i] = Some(self.shared.kv.get(key));
+        self.kv.sync_map()?;
+        let map = self.kv.shard_map();
+        let mut fallback: Vec<(&str, Bytes)> = Vec::new();
+        let mut per_reg: BTreeMap<RegisterId, Vec<(&str, Bytes)>> = BTreeMap::new();
+        for (key, value) in entries {
+            let entry = (key.as_ref(), value.clone());
+            if is_barriered(&map, entry.0) {
+                fallback.push(entry);
             } else {
-                per_reg.entry(map.register_for(key)).or_default().push(i);
+                per_reg
+                    .entry(map.register_for(entry.0))
+                    .or_default()
+                    .push(entry);
             }
         }
-        let reads: Vec<(RegisterId, String)> = per_reg
-            .iter()
-            .map(|(&reg, served)| {
-                self.shared.register_ops.inc();
-                self.shared.logical_ops.add(served.len() as u64);
-                (reg, format!("shard:{}", reg.0))
-            })
-            .collect();
-        let payloads = self.shared.kv.raw_reads(&reads);
-        for (served, payload) in per_reg.into_values().zip(payloads) {
-            for i in served {
-                answers[i] = Some(payload.clone().and_then(|p| self.serve(&p, keys[i], map)));
-            }
-        }
-        answers
-            .into_iter()
-            .map(|a| a.expect("every key answered"))
-            .collect()
-    }
-
-    /// A key's value out of its shard's read payload. Absent under a
-    /// foreign stamp, the key may have moved behind a stale map: the
-    /// per-key path refreshes and re-routes it (mirroring
-    /// `KvClient::get`'s classification).
-    fn serve(&self, payload: &Value, key: &str, map: &ShardMap) -> Result<Option<Bytes>, KvError> {
-        let value = codec::value_for_key(payload, key);
-        if value.is_none()
-            && !payload.is_bottom()
-            && codec::payload_epoch(payload) != Some(map.stamp())
-        {
-            return self.shared.kv.get(key);
-        }
-        Ok(value)
-    }
-
-    /// Writes `puts` (key, value, and the reply channel of a table-queued
-    /// put) under `map`: coalesced per register (see [`coalesce`]) and
-    /// cut into chunks, one write round per chunk — all in flight at once
-    /// on the client's engine, one register's chunks landing in order.
-    /// Keys behind the migration write barrier take the per-key path
-    /// (the barrier is per source shard). Every waiter hears its put's
-    /// outcome; returns the first failure.
-    fn write_puts(
-        &self,
-        puts: Vec<(String, Bytes, Option<Waiter>)>,
-        map: &ShardMap,
-    ) -> Result<(), KvError> {
-        let mut outcomes = Vec::new();
-        let mut per_reg: BTreeMap<RegisterId, Vec<(String, Bytes, Option<Waiter>)>> =
-            BTreeMap::new();
-        for (key, value, waiter) in puts {
-            if self.is_barriered(map, &key) {
-                self.shared.logical_ops.inc();
-                self.shared.register_ops.inc();
-                let reply = self.shared.kv.put(&key, value);
-                if let Some(done) = waiter {
-                    let _ = done.send(reply.clone());
-                }
-                outcomes.push(reply);
-            } else {
-                let reg = map.register_for(&key);
-                per_reg.entry(reg).or_default().push((key, value, waiter));
-            }
-        }
-        let lists: Vec<(RegisterId, Vec<CoalescedPut>)> = per_reg
+        self.count(fallback.len(), fallback.len());
+        let lists: Vec<(RegisterId, Vec<Coalesced>)> = per_reg
             .into_iter()
             .map(|(reg, puts)| (reg, coalesce(puts)))
             .collect();
-        let rounds: Vec<(RegisterId, &[CoalescedPut])> = (lists.iter())
+        let rounds: Vec<(RegisterId, &[Coalesced])> = (lists.iter())
             .flat_map(|(reg, list)| self.chunks(list).map(move |chunk| (*reg, chunk)))
             .collect();
-        for ((_, chunk), outcome) in rounds.iter().zip(self.write_rounds(&rounds, map)) {
-            for done in chunk.iter().flat_map(|entry| &entry.waiters) {
-                let _ = done.send(outcome.clone());
-            }
-            outcomes.push(outcome);
-        }
-        outcomes.into_iter().collect()
-    }
-
-    /// One write round per chunk, all in flight at once on the client's
-    /// engine, each stamped with and guarded by the flush's epoch
-    /// (mirroring `KvClient::put`): if a split publishes meanwhile, a
-    /// round aborts un-issued rather than landing behind a migration
-    /// seal, and its entries re-route through the epoch-aware per-key
-    /// path.
-    fn write_rounds(
-        &self,
-        rounds: &[(RegisterId, &[CoalescedPut])],
-        map: &ShardMap,
-    ) -> Vec<Result<(), KvError>> {
-        let writes: Vec<(RegisterId, Value, String)> = rounds
+        let writes: Vec<_> = rounds
             .iter()
             .map(|&(reg, chunk)| {
-                self.shared.register_ops.inc();
-                self.shared.bundle_size.record(chunk.len() as u64);
-                let logical: u64 = chunk.iter().map(|e| u64::from(e.covered)).sum();
-                self.shared.logical_ops.add(logical);
-                let label = if chunk.len() == 1 {
-                    chunk[0].key.clone()
-                } else {
-                    format!("shard:{}×{}", reg.0, chunk.len())
+                let logical: u32 = chunk.iter().map(|e| e.covered).sum();
+                self.count(logical as usize, 1);
+                self.bundle_size.record(chunk.len() as u64);
+                let label = match chunk {
+                    [one] => one.key.to_string(),
+                    _ => format!("shard:{}×{}", reg.0, chunk.len()),
                 };
                 (
                     reg,
@@ -531,24 +207,93 @@ impl BatchedKv {
                 )
             })
             .collect();
-        let landed = self.shared.kv.raw_writes(&writes, Some(map.epoch));
-        (rounds.iter().zip(landed))
-            .map(|(&(_, chunk), landed)| match landed? {
-                true => Ok(()),
-                false => self.shared.kv.multi_put(&entries_of(chunk)),
-            })
-            .collect()
+        let mut outcome = Ok(());
+        let landed = self.kv.raw_writes(&writes, Some(map.epoch));
+        for (&(_, chunk), landed) in rounds.iter().zip(landed) {
+            match landed {
+                Ok(true) => {}
+                // Aborted un-issued by the epoch guard: re-route per key.
+                Ok(false) => fallback.extend(entries_of(chunk)),
+                Err(e) => outcome = outcome.and(Err(e)),
+            }
+        }
+        if fallback.is_empty() {
+            return outcome;
+        }
+        outcome.and(self.kv.multi_put(&fallback))
     }
 
-    /// Splits coalesced entries into chunks, each fitting `max_batch` and
-    /// the transport frame budget. An entry that alone exceeds the budget
-    /// ships alone — the client then refuses it fast with the exact
-    /// numbers, and only its own waiters see the error.
-    fn chunks<'a>(&self, entries: &'a [CoalescedPut]) -> impl Iterator<Item = &'a [CoalescedPut]> {
-        let budget = self.shared.kv.max_value_len();
-        // The chunk size may never exceed what one bundle can count, on
-        // top of the caller's policy.
-        let max_batch = self.shared.policy.max_batch.min(codec::MAX_BUNDLE_ENTRIES);
+    /// Reads many keys, **one quorum round per shard**: every key landing
+    /// on one shard is served from a single `Read` round's payload; the
+    /// rounds run concurrently on the client's engine. The keys behind a
+    /// split's write barrier (old-home-then-new-home reads) and the
+    /// misses under a foreign epoch stamp (the key may have moved behind
+    /// a stale map) are then read through one [`KvClient::multi_get`],
+    /// which refreshes and re-routes per key. Results align with the
+    /// input order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing round's [`KvError`], else the per-key
+    /// fallback's; every round still ran to completion.
+    pub fn multi_get<K: AsRef<str> + Sync>(
+        &self,
+        keys: &[K],
+    ) -> Result<Vec<Option<Bytes>>, KvError> {
+        self.kv.sync_map()?;
+        let map = self.kv.shard_map();
+        let mut fallback: Vec<usize> = Vec::new();
+        let mut per_reg: BTreeMap<RegisterId, Vec<usize>> = BTreeMap::new();
+        for (i, key) in keys.iter().enumerate() {
+            if is_barriered(&map, key.as_ref()) {
+                fallback.push(i);
+            } else {
+                per_reg
+                    .entry(map.register_for(key.as_ref()))
+                    .or_default()
+                    .push(i);
+            }
+        }
+        self.count(fallback.len(), fallback.len());
+        let reads: Vec<(RegisterId, String)> = per_reg
+            .iter()
+            .map(|(&reg, served)| {
+                self.count(served.len(), 1);
+                (reg, format!("shard:{}", reg.0))
+            })
+            .collect();
+        let mut answers: Vec<Option<Bytes>> = vec![None; keys.len()];
+        let payloads = self.kv.raw_reads(&reads);
+        for (served, payload) in per_reg.into_values().zip(payloads) {
+            let payload = payload?;
+            for i in served {
+                answers[i] = codec::value_for_key(&payload, keys[i].as_ref());
+                if answers[i].is_none()
+                    && !payload.is_bottom()
+                    && codec::payload_epoch(&payload) != Some(map.stamp())
+                {
+                    fallback.push(i);
+                }
+            }
+        }
+        if !fallback.is_empty() {
+            let again: Vec<&str> = fallback.iter().map(|&i| keys[i].as_ref()).collect();
+            for (i, value) in fallback.into_iter().zip(self.kv.multi_get(&again)?) {
+                answers[i] = value;
+            }
+        }
+        Ok(answers)
+    }
+
+    /// Splits coalesced entries into chunks, each fitting `MAX_BATCH` and
+    /// the transport frame budget. An entry that alone exceeds the
+    /// budget ships alone — the client then refuses it fast with the
+    /// exact numbers, and only its own round fails.
+    fn chunks<'a, 'k>(
+        &self,
+        entries: &'a [Coalesced<'k>],
+    ) -> impl Iterator<Item = &'a [Coalesced<'k>]> {
+        let budget = self.kv.max_value_len();
         let mut cuts = vec![0usize];
         let mut size = codec::BUNDLE_OVERHEAD;
         let mut count = 0usize;
@@ -557,7 +302,7 @@ impl BatchedKv {
             // (a lone entry encodes as the smaller plain form).
             let cost = codec::BUNDLE_ENTRY_OVERHEAD + e.key.len() + e.value.len();
             let over_budget = budget.is_some_and(|b| size + cost > b);
-            if count > 0 && (count >= max_batch || over_budget) {
+            if count > 0 && (count >= MAX_BATCH || over_budget) {
                 cuts.push(i);
                 size = codec::BUNDLE_OVERHEAD;
                 count = 0;
@@ -574,48 +319,45 @@ impl BatchedKv {
     }
 }
 
-/// A chunk's entries as the codec and `KvClient` take them.
-fn entries_of(chunk: &[CoalescedPut]) -> Vec<(&str, Bytes)> {
-    chunk
-        .iter()
-        .map(|e| (e.key.as_str(), e.value.clone()))
-        .collect()
+/// Whether `key` currently sits behind the migration write barrier (its
+/// source shard is splitting): such keys bypass the bundles and take the
+/// epoch-aware per-key `KvClient` paths, which run the barrier /
+/// old-home-then-new-home protocol per key.
+fn is_barriered(map: &ShardMap, key: &str) -> bool {
+    map.is_migrating() && map.is_split_source(map.old_shard_of(key))
 }
 
-/// The reply channel of a table-queued put.
-type Waiter = Sender<Result<(), KvError>>;
+/// A chunk's entries as the codec and `KvClient` take them.
+fn entries_of<'k>(chunk: &[Coalesced<'k>]) -> Vec<(&'k str, Bytes)> {
+    chunk.iter().map(|e| (e.key, e.value.clone())).collect()
+}
 
 /// One distinct key of a forming write round.
-struct CoalescedPut {
-    key: String,
+struct Coalesced<'k> {
+    key: &'k str,
     value: Bytes,
     /// How many store-level puts this entry covers (same-key coalescing).
     covered: u32,
-    /// Reply channels of the covered table-queued puts (empty for
-    /// one-shot batches, which report through the call's return value).
-    waiters: Vec<Waiter>,
 }
 
-/// Last-write-wins coalescing of one register's puts (key, value, and
-/// the reply channel of a table-queued put), preserving first arrival
-/// order per key (indexed, so hot-key floods coalesce in linear time).
-fn coalesce(puts: impl IntoIterator<Item = (String, Bytes, Option<Waiter>)>) -> Vec<CoalescedPut> {
-    let mut out: Vec<CoalescedPut> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for (key, value, waiter) in puts {
-        match index.get(key.as_str()) {
+/// Last-write-wins coalescing of one register's puts, preserving first
+/// arrival order per key (indexed, so hot-key floods coalesce in linear
+/// time).
+fn coalesce(puts: Vec<(&str, Bytes)>) -> Vec<Coalesced<'_>> {
+    let mut out: Vec<Coalesced> = Vec::new();
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    for (key, value) in puts {
+        match index.get(key) {
             Some(&i) => {
                 out[i].value = value;
                 out[i].covered += 1;
-                out[i].waiters.extend(waiter);
             }
             None => {
-                index.insert(key.clone(), out.len());
-                out.push(CoalescedPut {
+                index.insert(key, out.len());
+                out.push(Coalesced {
                     key,
                     value,
                     covered: 1,
-                    waiters: waiter.into_iter().collect(),
                 });
             }
         }

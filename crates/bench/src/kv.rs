@@ -41,7 +41,8 @@ use rmem_types::{Micros, OpKind};
 
 use crate::table::Table;
 
-/// Round size of the batched mode (the `FlushPolicy::max_batch` analogue).
+/// Round size of the batched mode: how many of a client's operations
+/// one simulated `BatchedKv` multi-op carries.
 pub const BATCH_ROUND: usize = 8;
 
 /// Write fraction of the mixed (default) section.

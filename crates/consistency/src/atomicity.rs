@@ -54,7 +54,7 @@ impl std::error::Error for Violation {}
 
 /// Pending writes per register past which the keep/drop enumeration
 /// (2^w completions) gives up.
-const MAX_PENDING_WRITES: usize = 20;
+pub(crate) const MAX_PENDING_WRITES: usize = 20;
 
 fn check_with_rule(history: &History, rule: CompletionRule) -> Result<Verdict, Violation> {
     // Multi-register histories: linearizability is local, so check each

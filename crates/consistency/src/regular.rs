@@ -19,8 +19,10 @@
 
 use rmem_types::{OpKind, ProcessId, Value};
 
+use crate::atomicity::MAX_PENDING_WRITES;
 use crate::history::History;
 use crate::intervals::{extract, CompletionRule, IntervalOp};
+use crate::linearize::Inconclusive;
 
 /// Why a history fails the safe/regular check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,6 +39,9 @@ pub enum RegularViolation {
         /// Which criterion failed.
         criterion: &'static str,
     },
+    /// The check gave up without a verdict: the history is neither
+    /// certified nor refuted.
+    Inconclusive(Inconclusive),
 }
 
 impl std::fmt::Display for RegularViolation {
@@ -53,6 +58,7 @@ impl std::fmt::Display for RegularViolation {
             RegularViolation::Violated { criterion } => {
                 write!(f, "history is not {criterion}")
             }
+            RegularViolation::Inconclusive(why) => write!(f, "inconclusive: {why}"),
         }
     }
 }
@@ -129,7 +135,11 @@ fn check_with_completions(
         .map_err(RegularViolation::NotWellFormed)?;
     let intervals = extract(history, CompletionRule::Persistent);
     let w = intervals.optional_writes.len();
-    assert!(w < 20, "too many pending writes to enumerate ({w})");
+    if w >= MAX_PENDING_WRITES {
+        return Err(RegularViolation::Inconclusive(Inconclusive::PendingWrites(
+            w,
+        )));
+    }
     let mut last_err = None;
     for subset in 0u32..(1u32 << w) {
         let mut ops = intervals.fixed.clone();
@@ -152,7 +162,9 @@ fn check_with_completions(
 /// # Errors
 ///
 /// Returns [`RegularViolation`] if the history is malformed, multi-writer,
-/// or some read returns neither the last preceding nor a concurrent value.
+/// or some read returns neither the last preceding nor a concurrent value,
+/// and [`RegularViolation::Inconclusive`] if it holds too many pending
+/// writes to enumerate their completions.
 pub fn check_regular_swmr(history: &History) -> Result<(), RegularViolation> {
     check_with_completions(history, "regular", false)
 }
@@ -163,7 +175,9 @@ pub fn check_regular_swmr(history: &History) -> Result<(), RegularViolation> {
 /// # Errors
 ///
 /// Returns [`RegularViolation`] if the history is malformed, multi-writer,
-/// or a write-free read returns a stale value.
+/// or a write-free read returns a stale value, and
+/// [`RegularViolation::Inconclusive`] if it holds too many pending writes
+/// to enumerate their completions.
 pub fn check_safe_swmr(history: &History) -> Result<(), RegularViolation> {
     check_with_completions(history, "safe", true)
 }
@@ -278,5 +292,20 @@ mod tests {
         let r = h.invoke(p(1), Op::Read);
         h.reply(r, OpResult::ReadValue(Value::bottom()));
         assert!(check_regular_swmr(&h).is_err());
+    }
+
+    #[test]
+    fn too_many_pending_writes_is_inconclusive_not_a_panic() {
+        let mut h = History::new();
+        for i in 0..MAX_PENDING_WRITES as u32 {
+            h.invoke(p(0), Op::Write(v(i)));
+            h.crash(p(0));
+            h.recover(p(0));
+        }
+        let expected = Err(RegularViolation::Inconclusive(Inconclusive::PendingWrites(
+            MAX_PENDING_WRITES,
+        )));
+        assert_eq!(check_regular_swmr(&h), expected);
+        assert_eq!(check_safe_swmr(&h), expected);
     }
 }

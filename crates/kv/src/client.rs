@@ -872,11 +872,9 @@ impl KvClient {
     }
 
     /// One failover-protected register **write** of an already-encoded
-    /// payload (single entry or bundle), recorded as one operation. The
-    /// building block of the batching layer (`rmem-batch`); `label` names
-    /// the operation in errors (a key, or a `"batch:<shard>"` tag). The
-    /// payload's epoch stamp is the caller's responsibility
-    /// ([`ShardMap::stamp`]).
+    /// payload (single entry or bundle), recorded as one operation;
+    /// `label` names the operation in errors. The payload's epoch stamp
+    /// is the caller's responsibility ([`ShardMap::stamp`]).
     ///
     /// # Errors
     ///
@@ -889,32 +887,14 @@ impl KvClient {
             .map(drop)
     }
 
-    /// As [`raw_write`](Self::raw_write), but epoch-guarded: the write
-    /// aborts — `Ok(false)`, nothing issued, nothing landed — as soon as
-    /// the shard map's epoch moves past `epoch`, so a bundle formed under
-    /// one epoch can never surface behind another epoch's migration seal.
-    /// The batching layer re-routes an aborted bundle's entries through
-    /// the per-key path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`put`](Self::put).
-    pub fn raw_write_guarded(
-        &self,
-        reg: RegisterId,
-        payload: Value,
-        label: &str,
-        epoch: u64,
-    ) -> Result<bool, KvError> {
-        let mut answers = self.raw_writes(&[(reg, payload, label)], Some(epoch));
-        answers.pop().expect("one write in, one answer out")
-    }
-
-    /// Many [`raw_write`](Self::raw_write)s — epoch-guarded as in
-    /// [`raw_write_guarded`](Self::raw_write_guarded) when `epoch` is
-    /// given — run concurrently on the op engine (writes to one register
-    /// land in input order). Answers align with `writes`; `Ok(false)`
-    /// means the guard aborted the write un-issued.
+    /// Many [`raw_write`](Self::raw_write)s, run concurrently on the op
+    /// engine (writes to one register land in input order). Answers
+    /// align with `writes`. With `Some(epoch)` every write is
+    /// epoch-guarded: it aborts — `Ok(false)`, nothing issued, nothing
+    /// landed — as soon as the shard map's epoch moves past `epoch`, so
+    /// a bundle formed under one epoch never surfaces behind another
+    /// epoch's migration seal. `rmem-batch` writes its bundles this way
+    /// and re-routes an aborted bundle's entries per key.
     pub fn raw_writes<L: AsRef<str>>(
         &self,
         writes: &[(RegisterId, Value, L)],
@@ -932,8 +912,7 @@ impl KvClient {
 
     /// One failover-protected register **read** returning the raw payload
     /// (⊥, a single entry, a bundle, or a migration seal), recorded as
-    /// one operation. The building block of the batching layer; see
-    /// [`raw_write`](Self::raw_write).
+    /// one operation; see [`raw_write`](Self::raw_write).
     ///
     /// # Errors
     ///

@@ -29,7 +29,8 @@
 //! ```
 //!
 //! A bundle never straddles epochs — it has exactly one stamp, and the
-//! batching engine flushes its queues whenever the epoch moves.
+//! batching engine writes it epoch-guarded, so it aborts un-issued once
+//! the epoch moves.
 //!
 //! # Seals
 //!

@@ -183,8 +183,7 @@ fn lower(logical: Vec<LogicalOp>, batch: usize, keys: &[String], router: &ShardR
             }
         }
         // Reads first, then writes: everything in a round is concurrent
-        // at the store level, so any serialization is legal; this one
-        // mirrors the engine's flush order.
+        // at the store level, so any serialization is legal.
         ops.extend(read_regs.into_iter().map(Op::ReadAt));
         for (reg, entries) in writes {
             let entries: Vec<(&str, Bytes)> = entries
