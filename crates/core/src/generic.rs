@@ -167,6 +167,13 @@ impl std::fmt::Debug for RegisterAutomaton {
     }
 }
 
+/// Post-increments a token counter: the generator the replica role draws
+/// its store and timer tokens from.
+fn bump(counter: &mut u64) -> u64 {
+    *counter += 1;
+    *counter - 1
+}
+
 impl RegisterAutomaton {
     /// Builds a fresh automaton (first boot, empty stable storage).
     pub fn fresh(me: ProcessId, n: usize, flavor: Flavor, retransmit: Micros) -> Self {
@@ -255,15 +262,11 @@ impl RegisterAutomaton {
     }
 
     fn next_token(&mut self) -> StoreToken {
-        let t = StoreToken(self.token_counter);
-        self.token_counter += 1;
-        t
+        StoreToken(bump(&mut self.token_counter))
     }
 
     fn next_timer(&mut self) -> TimerToken {
-        let t = TimerToken(self.token_counter);
-        self.token_counter += 1;
-        t
+        TimerToken(bump(&mut self.token_counter))
     }
 
     fn next_req(&mut self) -> RequestId {
@@ -292,15 +295,8 @@ impl RegisterAutomaton {
             StartMode::Fresh => {
                 // Fig. 4 lines 1–5 / Fig. 5 lines 1–5: initial records.
                 // Not ack-gated; the automaton is immediately ready.
-                {
-                    let counter = &mut self.token_counter;
-                    let mut gen = move || {
-                        let t = *counter;
-                        *counter += 1;
-                        t
-                    };
-                    self.replica.initial_store(&mut gen, out);
-                }
+                let counter = &mut self.token_counter;
+                self.replica.initial_store(&mut || bump(counter), out);
                 if self.flavor.write_pre_log {
                     let token = self.next_token();
                     let record = WritingRecord {
@@ -329,15 +325,8 @@ impl RegisterAutomaton {
                 // A recovered leasing replica cannot know which grants its
                 // previous incarnation issued: fence every write ack for
                 // one full hold term before trusting quiescence.
-                {
-                    let counter = &mut self.token_counter;
-                    let mut gen = move || {
-                        let t = *counter;
-                        *counter += 1;
-                        t
-                    };
-                    self.replica.boot_hold(&mut gen, out);
-                }
+                let counter = &mut self.token_counter;
+                self.replica.boot_hold(&mut || bump(counter), out);
                 self.start_recovery(out)
             }
         }
@@ -593,12 +582,10 @@ impl RegisterAutomaton {
         // Replica role first: requests are fully handled there.
         {
             let counter = &mut self.token_counter;
-            let mut gen = move || {
-                let t = *counter;
-                *counter += 1;
-                t
-            };
-            if self.replica.on_message(from, &msg, &mut gen, out) {
+            if self
+                .replica
+                .on_message(from, &msg, &mut || bump(counter), out)
+            {
                 // Any locally adopted newer tag kills the lease on the
                 // spot: the leased value is provably no longer freshest.
                 self.invalidate_lease_if_older_than(self.replica.timestamp());
@@ -938,12 +925,7 @@ impl RegisterAutomaton {
         // The replica role's grant-fence horizon.
         {
             let counter = &mut self.token_counter;
-            let mut gen = move || {
-                let t = *counter;
-                *counter += 1;
-                t
-            };
-            if self.replica.on_timer(token, &mut gen, out) {
+            if self.replica.on_timer(token, &mut || bump(counter), out) {
                 return;
             }
         }

@@ -58,12 +58,14 @@ pub mod ablation;
 pub mod flavor;
 pub mod generic;
 pub mod memory;
+pub mod node;
 pub mod quorum;
 pub mod replica;
 
 pub use flavor::{Flavor, RecoveryPolicy};
 pub use generic::{FlavorFactory, RegisterAutomaton};
 pub use memory::{SharedMemory, SharedMemoryAutomaton};
+pub use node::{Effect, NodeCore, NodeEvent};
 
 use rmem_types::Micros;
 

@@ -31,10 +31,11 @@ use std::time::{Duration, Instant};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use rmem_core::NodeEvent;
 use rmem_types::{LeaseGrant, Op, OpResult, ProcessId, RegisterId, TraceId, Value};
 
 use crate::error::ClientError;
-use crate::runner::{Client, Completion, Invocation, RunnerEvent, TraceCtx};
+use crate::runner::{Caller, Client, Completion, RunnerEvent, TraceCtx};
 
 /// How long a follower waits on the condvar before re-checking for a
 /// missing drainer (belt-and-braces against a lost wakeup; the notify
@@ -125,7 +126,7 @@ struct Slot {
 /// The reactor's completion-slot table: every operation submitted and
 /// not yet claimed, keyed by generation-tagged slot token.
 ///
-/// This is the client-side mirror of the runner's `OpTable`: slots are
+/// This is the client-side mirror of the node core's op table: slots are
 /// recycled through a free list, reclaiming a slot bumps its generation
 /// (so tokens are never ambiguous), and acks that miss — late arrivals
 /// for reclaimed slots, duplicates for already-completed ones — are
@@ -399,13 +400,12 @@ impl Pipeline {
         ticket: Ticket,
         trace: Option<TraceId>,
     ) -> Result<Ticket, ClientError> {
+        let host = self.caller(ticket);
         let sent = self.targets[target]
             .tx
-            .send(RunnerEvent::Invoke(Invocation {
+            .send(RunnerEvent::Node(NodeEvent::Invoke {
                 operation,
-                reply: self.done_tx.clone(),
-                family: self.family,
-                token: ticket.token(),
+                host,
                 trace,
             }));
         if sent.is_err() {
@@ -414,6 +414,16 @@ impl Pipeline {
             return Err(ClientError::ProcessDown);
         }
         Ok(ticket)
+    }
+
+    /// The runner-side name of `ticket`'s invocation: this family's
+    /// completion channel, family id and the ticket's slot token.
+    fn caller(&self, ticket: Ticket) -> Caller {
+        Caller {
+            reply: self.done_tx.clone(),
+            family: self.family,
+            token: ticket.token(),
+        }
     }
 
     /// Routes everything already sitting in the completion channel.
@@ -578,12 +588,11 @@ impl Pipeline {
             return false;
         };
         reactor.table.cancel(ticket);
-        let token = ticket.token();
-        let family = self.family;
+        let host = self.caller(ticket);
         // A runner that is gone has nothing queued to withdraw.
         let _ = self.targets[target]
             .tx
-            .send(RunnerEvent::Withdraw { reg, family, token });
+            .send(RunnerEvent::Node(NodeEvent::Withdraw { reg, host }));
         true
     }
 

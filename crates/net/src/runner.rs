@@ -1,28 +1,34 @@
-//! Hosting one automaton on real threads, sockets, timers and disk.
+//! Hosting one process on real threads, sockets, timers and disk.
 //!
-//! Durability runs on its own pipeline: the event loop forwards
-//! [`Action::Store`] to the node's [`syncer`](crate::syncer) thread and
-//! keeps serving network messages, timers and other registers'
-//! operations while the fsync is in flight; the syncer group-commits
-//! whatever queued and posts `StoreDone` back through the loop only
-//! after the covering fsync returned (*ack-after-durable*, the real form
-//! of the paper's §V-A invariant). A log failure halts the node — the
-//! crash-recovery model's prescription for a process that can no longer
-//! trust its stable storage — observable via
-//! [`ProcessRunner::store_failures`] / [`ProcessRunner::is_halted`].
+//! The process itself — automaton, operation table, timers, trace maps,
+//! metrics and flight events — is a sans-IO [`NodeCore`], the same one
+//! the simulator hosts. This module is its real-world host: one event
+//! loop per incarnation waits for the next network message, durable
+//! store or client request (or the core's next timer deadline), hands it
+//! to [`NodeCore::handle`] with the microseconds elapsed since the
+//! incarnation booted, and performs the effects — sends go to the
+//! transport, replies to the clients' completion channels, stores to the
+//! node's [`syncer`](crate::syncer) thread.
+//!
+//! Durability runs on that pipeline: the loop keeps serving network
+//! messages, timers and other registers' operations while an fsync is in
+//! flight; the syncer group-commits whatever queued and posts `StoreDone`
+//! back through the loop only after the covering fsync returned
+//! (*ack-after-durable*, the real form of the paper's §V-A invariant). A
+//! log failure halts the node — the crash-recovery model's prescription
+//! for a process that can no longer trust its stable storage — observable
+//! via [`ProcessRunner::store_failures`] / [`ProcessRunner::is_halted`].
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rmem_obs::{pack_wire_aux, EventKind, FlightEvent, FlightRecorder, ObsHandle};
+use rmem_core::{Effect, NodeCore, NodeEvent};
+use rmem_obs::{EventKind, FlightEvent, FlightRecorder, ObsHandle};
 use rmem_storage::records::KEY_WRITTEN;
 use rmem_storage::{SnapshotView, StableStorage};
 use rmem_types::{
-    Action, Automaton, AutomatonFactory, Input, Op, OpId, OpResult, ProcessId, RegisterId,
-    RejectReason, RequestId, TimerToken, TraceId,
+    AutomatonFactory, Micros, Op, OpResult, ProcessId, RegisterId, RejectReason, TraceId,
 };
 use std::sync::Arc;
 
@@ -48,35 +54,32 @@ pub const HALT_DUMP_EVENTS: usize = 64;
 /// [`crate::pipeline::InFlightTable`]).
 pub(crate) type Completion = (u64, OpResult, u32, Option<rmem_types::LeaseGrant>);
 
-/// One client invocation on its way to the runner: the operation, the
-/// client family's completion channel and family id, the submission's
-/// slot token, and the trace context it was issued under.
-pub(crate) struct Invocation {
-    pub(crate) operation: Op,
+/// Who is waiting for an invocation's reply: the client family's
+/// completion channel and family id, and the submission's slot token.
+pub(crate) struct Caller {
     pub(crate) reply: Sender<Completion>,
     pub(crate) family: u64,
     pub(crate) token: u64,
-    pub(crate) trace: Option<TraceId>,
+}
+
+/// Two callers name the same invocation when family and token match; the
+/// channel only says where the reply goes.
+impl PartialEq for Caller {
+    fn eq(&self, other: &Self) -> bool {
+        (self.family, self.token) == (other.family, other.token)
+    }
+}
+
+impl Caller {
+    fn answer(self, result: OpResult, rounds: u32, lease: Option<rmem_types::LeaseGrant>) {
+        let _ = self.reply.send((self.token, result, rounds, lease));
+    }
 }
 
 pub(crate) enum RunnerEvent {
-    Invoke(Invocation),
-    /// The client cancelled ticket `token` of family `family` on `reg`:
-    /// if that invocation is still queued it must never start.
-    Withdraw {
-        reg: RegisterId,
-        family: u64,
-        token: u64,
-    },
+    /// An invocation, or a client withdrawing a still-queued one.
+    Node(NodeEvent<Caller>),
     Shutdown,
-}
-
-/// Stamps a flight event with a trace op id when one is known.
-fn stamp(ev: FlightEvent, trace: Option<TraceId>) -> FlightEvent {
-    match trace {
-        Some(t) => ev.with_op(t.client, t.op),
-        None => ev,
-    }
 }
 
 /// A client family's **trace context**: the shared identity under which a
@@ -144,176 +147,6 @@ impl TraceCtx {
                 .with_register(reg.0)
                 .with_aux(u64::from(node.0)),
         );
-    }
-}
-
-/// Remembers which trace op each in-flight replica request belongs to, so
-/// the ack (sent later, possibly from the durability pipeline) can be
-/// stamped and wire-propagated too. Bounded: oldest entries are evicted
-/// first — a replica only ever has a handful of requests between arrival
-/// and ack.
-struct ReqTraces {
-    map: HashMap<RequestId, TraceId>,
-    order: std::collections::VecDeque<RequestId>,
-    cap: usize,
-}
-
-impl ReqTraces {
-    fn new(cap: usize) -> Self {
-        ReqTraces {
-            map: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-            cap,
-        }
-    }
-
-    /// Remembers `req → trace`. Returns `true` when the bound forced the
-    /// oldest remembered request out (its ack, if it ever comes, will go
-    /// unstamped) — callers surface that in `runner.trace_evictions`
-    /// rather than letting the drop happen silently.
-    fn insert(&mut self, req: RequestId, trace: TraceId) -> bool {
-        if self.map.insert(req, trace).is_none() {
-            self.order.push_back(req);
-            if self.order.len() > self.cap {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    fn get(&self, req: &RequestId) -> Option<TraceId> {
-        self.map.get(req).copied()
-    }
-}
-
-/// The runner's **operation table**: every client operation admitted at
-/// this process, keyed by operation id with a per-register busy index,
-/// plus a FIFO of the invocations waiting for each busy register.
-///
-/// The paper's model (§III-A) makes *each process of the emulation*
-/// sequential — and each register of a shared memory is its own
-/// independent emulation (`rmem_core::SharedMemoryAutomaton` hosts one
-/// register automaton per id, unaware of the others). The table enforces
-/// sequentiality exactly at that granularity: a second invocation on a
-/// register with an operation in flight waits in that register's FIFO
-/// and is admitted when the operation ahead of it completes, while
-/// operations on distinct registers — independent shards hosted by this
-/// node — proceed concurrently through the one event loop.
-#[derive(Default)]
-struct OpTable {
-    in_flight: HashMap<OpId, InFlight>,
-    by_register: HashMap<RegisterId, OpId>,
-    /// Per busy register, the invocations waiting for it in arrival
-    /// order, each with its arrival time (feeds `runner.queue_micros`).
-    queued: HashMap<RegisterId, VecDeque<(Invocation, Instant)>>,
-    /// Queued invocations whose register a completion just freed; the
-    /// loop admits them before it takes its next event.
-    ready: Vec<(Invocation, Instant)>,
-}
-
-/// What the table remembers per in-flight operation: its register, the
-/// client family's completion channel and the submission's slot token,
-/// when it was admitted (feeds `runner.op_micros`), and the trace
-/// context it arrived under (stamps every flight event the operation
-/// triggers).
-type InFlight = (
-    RegisterId,
-    Sender<Completion>,
-    u64,
-    Instant,
-    Option<TraceId>,
-);
-
-/// What [`OpTable::complete`] hands back: the completion channel, the
-/// slot token, the admission time and the trace context.
-type Completed = (Sender<Completion>, u64, Instant, Option<TraceId>);
-
-impl OpTable {
-    /// Takes an arriving invocation: handed back when its register is
-    /// free (admit it now), queued behind the register's operation
-    /// otherwise.
-    fn arrive(&mut self, inv: Invocation) -> Option<Invocation> {
-        let reg = inv.operation.register();
-        if !self.by_register.contains_key(&reg) {
-            return Some(inv);
-        }
-        self.queued
-            .entry(reg)
-            .or_default()
-            .push_back((inv, Instant::now()));
-        None
-    }
-
-    /// Admits `inv` as operation `op` onto its free register, returning
-    /// the operation to invoke.
-    fn admit(&mut self, op: OpId, inv: Invocation) -> Op {
-        let reg = inv.operation.register();
-        let busy = self.by_register.insert(reg, op);
-        debug_assert!(busy.is_none(), "admitting onto a busy register");
-        let entry = (reg, inv.reply, inv.token, Instant::now(), inv.trace);
-        self.in_flight.insert(op, entry);
-        inv.operation
-    }
-
-    /// The trace context of the operation in flight on `reg`, if any.
-    /// Because the table admits at most one operation per register, the
-    /// register names the operation a coordinator round belongs to.
-    fn trace_of(&self, reg: RegisterId) -> Option<TraceId> {
-        self.by_register
-            .get(&reg)
-            .and_then(|op| self.in_flight.get(op))
-            .and_then(|(_, _, _, _, trace)| *trace)
-    }
-
-    /// Completes `op` if it is in flight, returning its completion
-    /// channel, slot token, admission time and trace context. The next
-    /// invocation queued on its register becomes ready.
-    fn complete(&mut self, op: OpId) -> Option<Completed> {
-        let (reg, reply, token, started, trace) = self.in_flight.remove(&op)?;
-        self.by_register.remove(&reg);
-        if let Some(queue) = self.queued.get_mut(&reg) {
-            self.ready.extend(queue.pop_front());
-            if queue.is_empty() {
-                self.queued.remove(&reg);
-            }
-        }
-        Some((reply, token, started, trace))
-    }
-
-    /// Drops the invocation `token` of client family `family` if it is
-    /// still queued on `reg`; returns whether it was. An admitted
-    /// operation is not affected. (An emptied queue is dropped at the
-    /// register's next completion.)
-    fn withdraw(&mut self, reg: RegisterId, family: u64, token: u64) -> bool {
-        let Some(queue) = self.queued.get_mut(&reg) else {
-            return false;
-        };
-        let before = queue.len();
-        queue.retain(|(inv, _)| (inv.family, inv.token) != (family, token));
-        queue.len() < before
-    }
-
-    /// Fails every admitted and queued operation with
-    /// `Rejected(Shutdown)`. Called on every event-loop exit path —
-    /// orderly shutdown and both halt flavors — so pipelined waiters
-    /// learn promptly that their emulation will never complete, instead
-    /// of burning their full patience window (the crash-recovery model's
-    /// "crashed with the operation pending").
-    fn drain_shutdown(&mut self) {
-        let shutdown = |reply: Sender<Completion>, token| {
-            let _ = reply.send((token, OpResult::Rejected(RejectReason::Shutdown), 0, None));
-        };
-        for (_op, (_reg, reply, token, _started, _trace)) in self.in_flight.drain() {
-            shutdown(reply, token);
-        }
-        let queued = self.queued.drain().flat_map(|(_reg, queue)| queue);
-        for (inv, _arrived) in queued.chain(self.ready.drain(..)) {
-            shutdown(inv.reply, inv.token);
-        }
-        self.by_register.clear();
     }
 }
 
@@ -542,22 +375,21 @@ impl ProcessRunner {
             bytes::Bytes::from((boot_count + 1).to_be_bytes().to_vec()),
         );
 
+        let core = NodeCore::new(me, automaton, boot_count, &obs);
         let (tx, rx) = unbounded::<RunnerEvent>();
-        let loop_transport = transport.clone();
         let store_failures = Arc::new(AtomicU64::new(0));
+        let loop_transport = transport.clone();
         let loop_failures = store_failures.clone();
         let loop_obs = obs.clone();
         let handle = std::thread::Builder::new()
             .name(format!("rmem-proc-{me}"))
             .spawn(move || {
                 run_loop(
-                    automaton,
+                    core,
                     storage,
                     loop_transport,
                     rx,
                     inbox,
-                    me,
-                    boot_count,
                     loop_failures,
                     loop_obs,
                 )
@@ -647,359 +479,91 @@ impl Drop for ProcessRunner {
     }
 }
 
-/// The runner-side metric handles, resolved once per incarnation.
-struct LoopMetrics {
-    ops_started: Arc<rmem_obs::Counter>,
-    ops_completed: Arc<rmem_obs::Counter>,
-    msgs_in: Arc<rmem_obs::Counter>,
-    msgs_out: Arc<rmem_obs::Counter>,
-    stores_queued: Arc<rmem_obs::Counter>,
-    stores_durable: Arc<rmem_obs::Counter>,
-    timer_fires: Arc<rmem_obs::Counter>,
-    trace_evictions: Arc<rmem_obs::Counter>,
-    queued: Arc<rmem_obs::Counter>,
-    withdrawn: Arc<rmem_obs::Counter>,
-    op_micros: Arc<rmem_obs::Histogram>,
-    queue_micros: Arc<rmem_obs::Histogram>,
-}
-
-impl LoopMetrics {
-    fn resolve(obs: &ObsHandle) -> Self {
-        LoopMetrics {
-            ops_started: obs.metrics.counter("runner.ops_started"),
-            ops_completed: obs.metrics.counter("runner.ops_completed"),
-            msgs_in: obs.metrics.counter("runner.msgs_in"),
-            msgs_out: obs.metrics.counter("runner.msgs_out"),
-            stores_queued: obs.metrics.counter("runner.stores_queued"),
-            stores_durable: obs.metrics.counter("runner.stores_durable"),
-            timer_fires: obs.metrics.counter("runner.timer_fires"),
-            trace_evictions: obs.metrics.counter("runner.trace_evictions"),
-            queued: obs.metrics.counter("runner.queued"),
-            withdrawn: obs.metrics.counter("runner.withdrawn"),
-            op_micros: obs.metrics.histogram("runner.op_micros"),
-            queue_micros: obs.metrics.histogram("runner.queue_micros"),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The event loop of one incarnation: wait for the next event (or the
+/// core's next timer deadline), hand it to the core, perform the effects.
 fn run_loop(
-    mut automaton: Box<dyn Automaton>,
+    mut core: NodeCore<Caller>,
     storage: Box<dyn StableStorage>,
     transport: Arc<dyn Transport>,
     control: Receiver<RunnerEvent>,
     inbox: Receiver<Inbound>,
-    me: ProcessId,
-    boot_count: u64,
     store_failures: Arc<AtomicU64>,
     obs: ObsHandle,
 ) -> Box<dyn StableStorage> {
-    let mut timers: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
-    let mut timer_tokens: std::collections::HashMap<u64, TimerToken> =
-        std::collections::HashMap::new();
-    let mut timer_seq = 0u64;
-    let mut pending = OpTable::default();
-    let op_counter = std::cell::Cell::new(boot_count << 32);
-    // Trace plumbing: which client op each in-flight replica request and
-    // each queued store belongs to (both maps are drained as requests are
-    // acked and stores commit; ReqTraces additionally evicts by age).
-    let mut req_traces = ReqTraces::new(4096);
-    let mut token_traces: HashMap<u64, TraceId> = HashMap::new();
-    let mx = LoopMetrics::resolve(&obs);
-    let flight = obs.flight.clone();
-
+    let me = transport.local();
     // The durability pipeline: stores leave the loop through the syncer's
     // queue and come back as StoreDone only after their group's fsync.
     let (store_done_tx, store_done_rx) = unbounded::<StoreOutcome>();
     let syncer = Syncer::spawn_with_obs(me, storage, store_done_tx, store_failures, obs.clone());
-
-    // Admit an invocation onto its free register — fresh off the control
-    // channel, or dequeued behind a completion (`queued_at` set) — and
-    // return the trace context and the input that starts it.
-    let start = |pending: &mut OpTable, inv: Invocation, queued_at: Option<Instant>| {
-        if let (Some(at), true) = (queued_at, obs.metrics.is_enabled()) {
-            mx.queue_micros.record(at.elapsed().as_micros() as u64);
+    let origin = Instant::now();
+    let now = || Micros(origin.elapsed().as_micros() as u64);
+    let perform = |effect: Effect<Caller>| match effect {
+        // Fair-lossy: a failed send is a lost message.
+        Effect::Send { to, msg, trace } => {
+            let _ = transport.send_traced(to, &msg, trace);
         }
-        mx.ops_started.inc();
-        let (trace, reg) = (inv.trace, inv.operation.register());
-        let op = OpId::new(me, op_counter.replace(op_counter.get() + 1));
-        let operation = pending.admit(op, inv);
-        let ev = FlightEvent::new(EventKind::OpStart).with_register(reg.0);
-        flight.record(match trace {
-            Some(t) => ev.with_op(t.client, t.op),
-            None => ev.with_op(op.pid.0, op.counter),
-        });
-        (trace, Input::Invoke { op, operation })
+        Effect::Store { token, key, bytes } => syncer.submit(StoreRequest { token, key, bytes }),
+        Effect::Reply {
+            host,
+            result,
+            rounds,
+            lease,
+            ..
+        } => host.answer(result, rounds, lease),
+        Effect::Started { .. } => {}
     };
-
-    // Process one input and the actions it triggers, then start the
-    // invocations its completions dequeued. Stores are asynchronous
-    // (paper's automaton contract): they are queued for the syncer and
-    // the loop moves on — the matching StoreDone re-enters through
-    // `store_done_rx` after the covering fsync returns, so an fsync in
-    // flight on one register never stalls another register's round.
-    let step = |automaton: &mut Box<dyn Automaton>,
-                syncer: &Syncer,
-                timers: &mut BinaryHeap<Reverse<(Instant, u64)>>,
-                timer_tokens: &mut std::collections::HashMap<u64, TimerToken>,
-                timer_seq: &mut u64,
-                pending: &mut OpTable,
-                req_traces: &mut ReqTraces,
-                token_traces: &mut HashMap<u64, TraceId>,
-                ctx_trace: Option<TraceId>,
-                input: Input| {
-        let mut actions = Vec::new();
-        let mut next = Some((ctx_trace, input));
-        while let Some((ctx_trace, input)) = next {
-            automaton.on_input(input, &mut actions);
-            for action in actions.drain(..) {
-                match action {
-                    Action::Send { to, msg } => {
-                        mx.msgs_out.inc();
-                        let req = msg.request_id();
-                        // Requests belong to the operation in flight on the
-                        // register (robust across retransmits from timers);
-                        // acks to the request that asked for them.
-                        let trace = if msg.is_request() {
-                            let trace = pending.trace_of(req.reg);
-                            flight.record(stamp(
-                                FlightEvent::new(EventKind::RoundSent)
-                                    .with_register(req.reg.0)
-                                    .with_aux(pack_wire_aux(to.0, req.nonce, false)),
-                                trace,
-                            ));
-                            trace
-                        } else {
-                            let trace = req_traces.get(&req);
-                            let durable = match &msg {
-                                rmem_types::Message::ReadAck { durable, .. } => *durable,
-                                _ => true,
-                            };
-                            flight.record(stamp(
-                                FlightEvent::new(EventKind::AckSent)
-                                    .with_register(req.reg.0)
-                                    .with_aux(pack_wire_aux(to.0, req.nonce, durable)),
-                                trace,
-                            ));
-                            trace
-                        };
-                        // Fair-lossy: a failed send is a lost message.
-                        let _ = transport.send_traced(to, &msg, trace);
-                    }
-                    Action::Store { token, key, bytes } => {
-                        mx.stores_queued.inc();
-                        flight.record(stamp(
-                            FlightEvent::new(EventKind::StoreQueued).with_aux(token.0),
-                            ctx_trace,
-                        ));
-                        if let Some(trace) = ctx_trace {
-                            token_traces.insert(token.0, trace);
-                        }
-                        syncer.submit(StoreRequest { token, key, bytes });
-                    }
-                    Action::SetTimer { token, after } => {
-                        let seq = *timer_seq;
-                        *timer_seq += 1;
-                        timer_tokens.insert(seq, token);
-                        timers.push(Reverse((Instant::now() + Duration::from(after), seq)));
-                    }
-                    Action::Complete {
-                        op,
-                        result,
-                        rounds,
-                        lease,
-                    } => {
-                        if let Some((reply, token, started, trace)) = pending.complete(op) {
-                            mx.ops_completed.inc();
-                            if obs.metrics.is_enabled() {
-                                mx.op_micros.record(started.elapsed().as_micros() as u64);
-                            }
-                            let ev =
-                                FlightEvent::new(EventKind::OpComplete).with_aux(u64::from(rounds));
-                            flight.record(match trace {
-                                Some(t) => ev.with_op(t.client, t.op),
-                                None => ev.with_op(op.pid.0, op.counter),
-                            });
-                            let _ = reply.send((token, result, rounds, lease));
-                        }
-                    }
-                }
-            }
-            next = (pending.ready.pop()).map(|(inv, at)| start(pending, inv, Some(at)));
-        }
-    };
-
-    step(
-        &mut automaton,
-        &syncer,
-        &mut timers,
-        &mut timer_tokens,
-        &mut timer_seq,
-        &mut pending,
-        &mut req_traces,
-        &mut token_traces,
-        None,
-        Input::Start,
-    );
-
+    let mut effects = Vec::new();
+    let mut event = NodeEvent::Start;
     loop {
-        // Fire due timers first.
-        let now = Instant::now();
-        while let Some(Reverse((deadline, seq))) = timers.peek().copied() {
-            if deadline > now {
-                break;
-            }
-            timers.pop();
-            if let Some(token) = timer_tokens.remove(&seq) {
-                mx.timer_fires.inc();
-                step(
-                    &mut automaton,
-                    &syncer,
-                    &mut timers,
-                    &mut timer_tokens,
-                    &mut timer_seq,
-                    &mut pending,
-                    &mut req_traces,
-                    &mut token_traces,
-                    None,
-                    Input::Timer(token),
-                );
-            }
+        let next = core.handle(now(), event, &mut effects);
+        effects.drain(..).for_each(perform);
+        let patience = next.map_or(Duration::from_millis(100), |deadline| {
+            Duration::from_micros(deadline.0.saturating_sub(now().0))
+        });
+        if patience.is_zero() {
+            event = NodeEvent::Tick;
+            continue;
         }
-        let patience = timers
-            .peek()
-            .map(|Reverse((deadline, _))| deadline.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(100));
-
         // Sweep in a fixed order: the network first, then completed
         // commits, then the control channel. When none is ready, sleep
         // until a send on any of the three (or the drop of its last
         // sender) wakes the loop, or until the next timer is due.
-        crossbeam::channel::select! {
-            recv(inbox) -> net => if let Ok(Inbound { from, msg, trace }) = net {
-                // (An Err means the transport is gone; the control channel
-                // decides shutdown.)
-                mx.msgs_in.inc();
-                let req = msg.request_id();
-                if msg.is_request() {
-                    flight.record(stamp(
-                        FlightEvent::new(EventKind::ReqRecv)
-                            .with_register(req.reg.0)
-                            .with_aux(pack_wire_aux(from.0, req.nonce, false)),
-                        trace,
-                    ));
-                    if let Some(trace) = trace {
-                        // Remember the op so the ack (possibly sent later,
-                        // from the durability pipeline) carries it too.
-                        if req_traces.insert(req, trace) {
-                            mx.trace_evictions.inc();
-                        }
-                    }
-                } else {
-                    // An ack round-trip closing: the `durable` attestation
-                    // matters for the read fast path, so it rides along.
-                    let durable = match &msg {
-                        rmem_types::Message::ReadAck { durable, .. } => *durable,
-                        _ => true,
-                    };
-                    flight.record(stamp(
-                        FlightEvent::new(EventKind::AckRecv)
-                            .with_register(req.reg.0)
-                            .with_aux(pack_wire_aux(from.0, req.nonce, durable)),
-                        trace,
-                    ));
-                }
-                step(
-                    &mut automaton,
-                    &syncer,
-                    &mut timers,
-                    &mut timer_tokens,
-                    &mut timer_seq,
-                    &mut pending,
-                    &mut req_traces,
-                    &mut token_traces,
-                    trace,
-                    Input::Message { from, msg },
-                );
+        event = crossbeam::channel::select! {
+            recv(inbox) -> net => match net {
+                Ok(Inbound { from, msg, trace }) => NodeEvent::Message { from, msg, trace },
+                // The transport is gone; the control channel decides
+                // shutdown.
+                Err(_) => NodeEvent::Tick,
             },
             recv(store_done_rx) -> done => match done {
-                Ok(StoreOutcome::Done(token)) => {
-                    mx.stores_durable.inc();
-                    let trace = token_traces.remove(&token.0);
-                    flight.record(stamp(
-                        FlightEvent::new(EventKind::StoreDurable).with_aux(token.0),
-                        trace,
-                    ));
-                    step(
-                        &mut automaton,
-                        &syncer,
-                        &mut timers,
-                        &mut timer_tokens,
-                        &mut timer_seq,
-                        &mut pending,
-                        &mut req_traces,
-                        &mut token_traces,
-                        trace,
-                        Input::StoreDone(token),
-                    );
-                }
-                Ok(StoreOutcome::Failed(e)) => {
-                    // The log failed: per the crash-recovery model the
-                    // process crashes rather than run ahead of its stable
-                    // storage. Halt cleanly — in-flight operations see
-                    // ProcessDown, the disk survives for a restart — and
-                    // leave a postmortem: the structured Halt event plus
-                    // the tail of the flight recorder.
-                    let reason = format!("stable storage failed: {e}");
-                    flight.halt(&reason);
+                Ok(StoreOutcome::Done(token)) => NodeEvent::StoreDone(token),
+                // The log failed (or the syncer exited without a
+                // verdict): per the crash-recovery model the process
+                // crashes rather than run ahead of its stable storage.
+                // Halt cleanly — in-flight operations see ProcessDown,
+                // the disk survives for a restart — and leave a
+                // postmortem: the structured Halt event plus the tail of
+                // the flight recorder.
+                failed => {
+                    let reason = match failed {
+                        Ok(StoreOutcome::Failed(e)) => format!("stable storage failed: {e}"),
+                        _ => "syncer exited without a verdict".to_string(),
+                    };
+                    obs.flight.halt(&reason);
                     eprintln!(
                         "rmem[{me}]: {reason}; halting the node\n\
                          rmem[{me}]: last events before the halt:\n{}",
-                        flight.dump_timeline(HALT_DUMP_EVENTS)
-                    );
-                    break;
-                }
-                Err(_) => {
-                    // Syncer gone without a verdict: same terminal state,
-                    // same postmortem.
-                    let reason = "syncer exited without a verdict".to_string();
-                    flight.halt(&reason);
-                    eprintln!(
-                        "rmem[{me}]: {reason}; halting the node\n\
-                         rmem[{me}]: last events before the halt:\n{}",
-                        flight.dump_timeline(HALT_DUMP_EVENTS)
+                        obs.flight.dump_timeline(HALT_DUMP_EVENTS)
                     );
                     break;
                 }
             },
             recv(control) -> ctl => match ctl {
-                Ok(RunnerEvent::Invoke(inv)) => match pending.arrive(inv) {
-                    Some(inv) => {
-                        let (trace, input) = start(&mut pending, inv, None);
-                        step(
-                            &mut automaton,
-                            &syncer,
-                            &mut timers,
-                            &mut timer_tokens,
-                            &mut timer_seq,
-                            &mut pending,
-                            &mut req_traces,
-                            &mut token_traces,
-                            trace,
-                            input,
-                        );
-                    }
-                    None => mx.queued.inc(),
-                },
-                Ok(RunnerEvent::Withdraw { reg, family, token }) => {
-                    if pending.withdraw(reg, family, token) {
-                        mx.withdrawn.inc();
-                    }
-                }
+                Ok(RunnerEvent::Node(event)) => event,
                 Ok(RunnerEvent::Shutdown) | Err(_) => break,
             },
-            default(patience) => {}
-        }
+            default(patience) => NodeEvent::Tick,
+        };
     }
     // Every exit path lands here. Fail what will never complete: the
     // admitted and queued operations, and the invocations still on the
@@ -1007,11 +571,12 @@ fn run_loop(
     // pipelined waiter would burn its full patience window on an
     // operation whose emulation is gone.
     while let Ok(ev) = control.try_recv() {
-        if let RunnerEvent::Invoke(inv) = ev {
-            pending.ready.push((inv, Instant::now()));
+        if let RunnerEvent::Node(NodeEvent::Invoke { host, .. }) = ev {
+            host.answer(OpResult::Rejected(RejectReason::Shutdown), 0, None);
         }
     }
-    pending.drain_shutdown();
+    core.halt(&mut effects);
+    effects.drain(..).for_each(perform);
     syncer.stop()
 }
 
@@ -1033,23 +598,6 @@ mod tests {
                 ProcessRunner::start(factory.as_ref(), Box::new(MemStorage::new()), transport, rx)
             })
             .collect()
-    }
-
-    #[test]
-    fn req_traces_evict_oldest_first_and_report_it() {
-        let mut traces = ReqTraces::new(2);
-        let req = |nonce| RequestId::new(ProcessId(0), nonce);
-        let trace = |op| TraceId { client: 1, op };
-        assert!(!traces.insert(req(0), trace(0)));
-        assert!(!traces.insert(req(1), trace(1)));
-        // Re-inserting a known request neither grows nor evicts.
-        assert!(!traces.insert(req(1), trace(1)));
-        // The third distinct request pushes out the oldest (req 0), and
-        // the caller is told so it can count the eviction.
-        assert!(traces.insert(req(2), trace(2)));
-        assert_eq!(traces.get(&req(0)), None);
-        assert_eq!(traces.get(&req(1)), Some(trace(1)));
-        assert_eq!(traces.get(&req(2)), Some(trace(2)));
     }
 
     #[test]
@@ -1084,68 +632,6 @@ mod tests {
         for r in runners {
             r.stop();
         }
-    }
-
-    fn invocation(reg: u16, family: u64, token: u64, reply: &Sender<Completion>) -> Invocation {
-        Invocation {
-            operation: Op::ReadAt(RegisterId(reg)),
-            reply: reply.clone(),
-            family,
-            token,
-            trace: None,
-        }
-    }
-
-    fn op(counter: u64) -> OpId {
-        OpId::new(ProcessId(0), counter)
-    }
-
-    #[test]
-    fn op_table_admits_same_register_invocations_in_fifo_order() {
-        let (tx, _rx) = unbounded();
-        let mut table = OpTable::default();
-        let first = table.arrive(invocation(0, 1, 1, &tx));
-        table.admit(op(1), first.expect("a free register admits at once"));
-        assert!(table.arrive(invocation(0, 1, 2, &tx)).is_none());
-        assert!(table.arrive(invocation(0, 1, 3, &tx)).is_none());
-        // Another register is not held up by register 0's queue.
-        assert!(table.arrive(invocation(1, 1, 4, &tx)).is_some());
-        assert!(table.ready.is_empty());
-        // Each completion releases exactly the next arrival.
-        assert!(table.complete(op(1)).is_some());
-        let (next, _) = table.ready.pop().expect("the completion dequeues");
-        assert_eq!(next.token, 2);
-        assert!(table.ready.is_empty(), "one admission per completion");
-        table.admit(op(2), next);
-        assert!(table.complete(op(2)).is_some());
-        assert_eq!(table.ready.pop().expect("dequeued").0.token, 3);
-    }
-
-    #[test]
-    fn withdrawn_invocation_never_starts_and_halt_fails_the_queue() {
-        let (tx, rx) = unbounded();
-        let mut table = OpTable::default();
-        table.admit(op(1), invocation(0, 1, 1, &tx));
-        assert!(table.arrive(invocation(0, 1, 2, &tx)).is_none());
-        assert!(table.arrive(invocation(0, 1, 3, &tx)).is_none());
-        assert!(!table.withdraw(RegisterId(0), 9, 2), "another family");
-        assert!(!table.withdraw(RegisterId(0), 1, 1), "admitted ops stay");
-        assert!(table.withdraw(RegisterId(0), 1, 2));
-        assert!(!table.withdraw(RegisterId(0), 1, 2), "withdrawn once");
-        // The withdrawn invocation is skipped: token 3 is next.
-        assert!(table.complete(op(1)).is_some());
-        let (next, _) = table.ready.pop().expect("dequeued");
-        assert_eq!(next.token, 3);
-        table.admit(op(2), next);
-        assert!(table.arrive(invocation(0, 1, 4, &tx)).is_none());
-        // A halt fails the admitted op and the queued one, and nothing
-        // reaches the withdrawn invocation.
-        table.drain_shutdown();
-        let mut failed: Vec<_> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
-        failed.sort_by_key(|(token, ..)| *token);
-        let shutdown = OpResult::Rejected(RejectReason::Shutdown);
-        let expected = [(3, shutdown.clone(), 0, None), (4, shutdown, 0, None)];
-        assert_eq!(failed, expected);
     }
 
     #[test]

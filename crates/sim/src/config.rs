@@ -135,8 +135,6 @@ pub struct ClusterConfig {
     pub max_time: super::VirtualTime,
     /// Hard stop on the number of processed events.
     pub max_events: u64,
-    /// Retransmission period automata are told to use.
-    pub retransmit_after: Micros,
 }
 
 impl ClusterConfig {
@@ -154,7 +152,6 @@ impl ClusterConfig {
             disk_overrides: vec![None; n],
             max_time: super::VirtualTime(60_000_000), // one virtual minute
             max_events: 50_000_000,
-            retransmit_after: Micros(2_000),
         }
     }
 

@@ -1,34 +1,39 @@
 //! The discrete-event simulation engine.
+//!
+//! Each process is an [`rmem_core::NodeCore`] — the same node
+//! implementation the real runtime hosts, with its operation table,
+//! timers and op ids — driven in virtual time. The engine supplies what a
+//! host supplies: the network, the disk, crashes and recoveries, and the
+//! causal-chain accounting of [`crate::trace`].
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rmem_core::{Effect, NodeCore, NodeEvent};
+use rmem_obs::ObsHandle;
 use rmem_storage::{MemStorage, SnapshotView, StableStorage};
-use rmem_types::{Action, AutomatonFactory, Input, Micros, Op, OpId, ProcessId};
+use rmem_types::{AutomatonFactory, Micros, OpId, ProcessId, RequestId};
 
 use crate::config::ClusterConfig;
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, Issuer};
 use crate::network::{Fate, NetworkModel};
 use crate::time::VirtualTime;
 use crate::trace::Trace;
 use crate::workload::{ClosedLoop, PlannedEvent, Schedule};
 
-/// One simulated process: its automaton (volatile — destroyed by crashes)
+/// One simulated process: its node core (volatile — destroyed by crashes)
 /// and its stable storage (owned by the engine — survives crashes).
+#[derive(Default)]
 struct ProcSlot {
-    automaton: Option<Box<dyn rmem_types::Automaton>>,
+    core: Option<NodeCore<Issuer>>,
     storage: MemStorage,
-    /// Bumped at every crash; store completions and timers from older
+    /// Bumped at every crash; store completions and ticks from older
     /// incarnations are discarded.
     incarnation: u32,
-    /// The process's **operation table**: in-flight client operations
-    /// keyed by the register they address. Mirrors the real runner's
-    /// table (`rmem-net`): at most one operation per register — §III-A
-    /// sequentiality applied per register emulation — while operations on
-    /// distinct registers overlap freely.
-    pending: std::collections::BTreeMap<rmem_types::RegisterId, OpId>,
-    next_op_counter: u64,
+    /// The earliest tick scheduled for this incarnation, if any.
+    tick_at: Option<VirtualTime>,
     /// Set while the process runs its recovery procedure (between the
     /// Recover event and the automaton reporting ready); drives the
     /// recovery-duration measurement.
@@ -43,18 +48,12 @@ struct ProcSlot {
     disk_group_done: VirtualTime,
 }
 
-impl ProcSlot {
-    /// Whether `op` is still in flight at this process.
-    fn is_pending(&self, op: OpId) -> bool {
-        self.pending.values().any(|&p| p == op)
-    }
-}
-
 struct LoopState {
     pid: ProcessId,
-    remaining: std::collections::VecDeque<Op>,
+    remaining: std::collections::VecDeque<rmem_types::Op>,
     think: Micros,
-    /// An invocation of this loop is in flight (scheduled or pending).
+    /// An invocation of this loop is in flight (scheduled, queued or
+    /// admitted).
     in_flight: bool,
 }
 
@@ -87,6 +86,9 @@ pub struct SimReport {
 pub struct Simulation {
     config: ClusterConfig,
     factory: Arc<dyn AutomatonFactory>,
+    /// Every node core records into this disabled handle: no clock reads,
+    /// no flight events.
+    obs: ObsHandle,
     now: VirtualTime,
     queue: EventQueue,
     net: NetworkModel,
@@ -102,10 +104,14 @@ pub struct Simulation {
     /// `request chain + 1` (one store on the requester's path), not the
     /// chain of whatever store completion happened to release it — that
     /// store may belong to a different operation's lineage.
-    deferred_acks: std::collections::HashMap<(ProcessId, rmem_types::RequestId), u32>,
+    deferred_acks: HashMap<(ProcessId, RequestId), u32>,
+    /// The chain each process first sent each of its requests with.
+    round_chains: HashMap<(ProcessId, RequestId), u32>,
     /// Messages sent while handling the current event (drives the
     /// sender-side serialization model, `NetConfig::serialize_per_msg`).
     sends_this_event: u32,
+    /// Reused effect buffer.
+    effects: Vec<Effect<Issuer>>,
     ran: bool,
 }
 
@@ -113,25 +119,13 @@ impl Simulation {
     /// Creates a simulation of `config.n` processes built by `factory`,
     /// with all randomness derived from `seed`.
     pub fn new(config: ClusterConfig, factory: Arc<dyn AutomatonFactory>, seed: u64) -> Self {
-        let n = config.n;
-        let procs = (0..n)
-            .map(|_| ProcSlot {
-                automaton: None,
-                storage: MemStorage::new(),
-                incarnation: 0,
-                pending: std::collections::BTreeMap::new(),
-                next_op_counter: 0,
-                recovering_since: None,
-                disk_busy_until: VirtualTime::ZERO,
-                disk_group_start: VirtualTime::ZERO,
-                disk_group_done: VirtualTime::ZERO,
-            })
-            .collect();
+        let procs = (0..config.n).map(|_| ProcSlot::default()).collect();
         Simulation {
             net: NetworkModel::new(config.net.clone()),
             rng: StdRng::seed_from_u64(seed),
             config,
             factory,
+            obs: ObsHandle::disabled(),
             now: VirtualTime::ZERO,
             queue: EventQueue::new(),
             procs,
@@ -139,8 +133,10 @@ impl Simulation {
             loops: Vec::new(),
             schedule: Vec::new(),
             events_processed: 0,
-            deferred_acks: std::collections::HashMap::new(),
+            deferred_acks: HashMap::new(),
+            round_chains: HashMap::new(),
             sends_this_event: 0,
+            effects: Vec::new(),
             ran: false,
         }
     }
@@ -152,7 +148,8 @@ impl Simulation {
         self
     }
 
-    /// Attaches a closed-loop client.
+    /// Attaches a closed-loop client; its first invocation happens
+    /// `start_after` into the run.
     pub fn add_closed_loop(&mut self, cl: ClosedLoop) {
         assert!(
             cl.pid.index() < self.config.n,
@@ -161,39 +158,14 @@ impl Simulation {
         );
         self.loops.push(LoopState {
             pid: cl.pid,
-            remaining: cl.ops.clone().into(),
+            remaining: cl.ops.into(),
             think: cl.think,
             in_flight: false,
         });
-        // The first invocation is scheduled when the run starts, honouring
-        // start_after; encode it via the schedule with a sentinel: we
-        // simply plant the first op here.
-        let idx = self.loops.len() - 1;
-        let first_at = VirtualTime::ZERO.after(cl.start_after);
-        if let Some(op) = self.loops[idx].remaining.pop_front() {
-            self.loops[idx].in_flight = true;
-            let op_id = self.fresh_op_id(cl.pid);
-            self.queue.push(
-                first_at,
-                EventKind::Invoke {
-                    pid: cl.pid,
-                    op: op_id,
-                    operation: op,
-                },
-            );
-        }
-    }
-
-    fn fresh_op_id(&mut self, pid: ProcessId) -> OpId {
-        let slot = &mut self.procs[pid.index()];
-        let id = OpId::new(pid, slot.next_op_counter);
-        slot.next_op_counter += 1;
-        id
-    }
-
-    /// Whether `pid` is currently crashed.
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.procs[pid.index()].automaton.is_none()
+        self.loop_next(
+            self.loops.len() - 1,
+            VirtualTime::ZERO.after(cl.start_after),
+        );
     }
 
     /// Read-only view of a process's stable storage (inspect after `run`).
@@ -215,14 +187,11 @@ impl Simulation {
         let schedule = std::mem::take(&mut self.schedule);
         for (at, ev) in schedule {
             let kind = match ev {
-                PlannedEvent::Invoke(pid, op) => {
-                    let op_id = self.fresh_op_id(pid);
-                    EventKind::Invoke {
-                        pid,
-                        op: op_id,
-                        operation: op,
-                    }
-                }
+                PlannedEvent::Invoke(pid, operation) => EventKind::Invoke {
+                    pid,
+                    operation,
+                    issuer: Issuer::Script,
+                },
                 PlannedEvent::Crash(pid) => EventKind::Crash { pid },
                 PlannedEvent::Recover(pid) => EventKind::Recover { pid },
                 PlannedEvent::Block(from, to) => EventKind::SetLink {
@@ -242,10 +211,10 @@ impl Simulation {
         // Boot every process.
         for pid in ProcessId::all(self.config.n) {
             let automaton = self.factory.fresh(pid, self.config.n);
-            self.procs[pid.index()].automaton = Some(automaton);
+            self.procs[pid.index()].core = Some(NodeCore::new(pid, automaton, 0, &self.obs));
         }
         for pid in ProcessId::all(self.config.n) {
-            self.feed(pid, Input::Start, 0, None);
+            self.feed(pid, NodeEvent::Start, 0, None);
         }
 
         let mut quiescent = false;
@@ -261,7 +230,7 @@ impl Simulation {
             self.sends_this_event = 0;
             self.dispatch(ev.kind);
 
-            if self.queue.len() < 256 && self.is_idle() && self.queue_only_timers() {
+            if self.queue.len() < 256 && self.is_idle() {
                 quiescent = true;
                 break;
             }
@@ -285,35 +254,23 @@ impl Simulation {
     fn note_if_recovered(&mut self, pid: ProcessId) {
         let slot = &mut self.procs[pid.index()];
         if let Some(since) = slot.recovering_since {
-            if slot.automaton.as_ref().is_some_and(|a| a.is_ready()) {
+            if slot.core.as_ref().is_some_and(|c| c.is_ready()) {
                 slot.recovering_since = None;
                 self.trace.record_recovery_duration(self.now.since(since));
             }
         }
     }
 
+    /// Whether nothing meaningful remains: every live process is idle and
+    /// ready, every loop is done, and only timer ticks are queued (a
+    /// linear scan, kept small by the caller's `len()` guard).
     fn is_idle(&self) -> bool {
-        let procs_idle = self
-            .procs
-            .iter()
-            .all(|s| s.pending.is_empty() && s.automaton.as_ref().is_none_or(|a| a.is_ready()));
-        let loops_done = self
-            .loops
-            .iter()
-            .all(|l| l.remaining.is_empty() && !l.in_flight);
-        procs_idle && loops_done
-    }
-
-    fn queue_only_timers(&self) -> bool {
-        // Private helper on the queue would expose internals; a linear
-        // scan over the (small, by the len() guard) heap is fine.
-        self.queue_iter_all_timers()
-    }
-
-    fn queue_iter_all_timers(&self) -> bool {
-        self.queue
-            .iter()
-            .all(|s| matches!(s.kind, EventKind::TimerFire { .. }))
+        let mut cores = self.procs.iter().filter_map(|s| s.core.as_ref());
+        let mut loops = self.loops.iter();
+        let mut queue = self.queue.iter();
+        cores.all(|c| !c.is_busy() && c.is_ready())
+            && loops.all(|l| l.remaining.is_empty() && !l.in_flight)
+            && queue.all(|kind| matches!(kind, EventKind::Tick { .. }))
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -324,24 +281,22 @@ impl Simulation {
                 msg,
                 chain,
             } => {
-                if self.procs[to.index()].automaton.is_none() {
+                let Some(core) = self.procs[to.index()].core.as_ref() else {
                     return; // crashed receivers hear nothing
-                }
+                };
                 self.trace.messages_delivered += 1;
                 // A message belongs to the receiver's own operation on the
                 // register its request id names (request ids carry the
                 // register, so concurrent operations on distinct registers
                 // attribute independently).
-                let attributed = if msg.request_id().origin == to {
-                    self.procs[to.index()]
-                        .pending
-                        .get(&msg.request_id().reg)
-                        .copied()
-                } else {
-                    None
+                let req = msg.request_id();
+                let attributed = (req.origin == to).then(|| core.op_on(req.reg)).flatten();
+                let event = NodeEvent::Message {
+                    from,
+                    msg,
+                    trace: None,
                 };
-                self.feed(to, Input::Message { from, msg }, chain, attributed);
-                self.note_if_recovered(to);
+                self.feed(to, event, chain, attributed);
             }
             EventKind::StoreDone {
                 pid,
@@ -360,78 +315,94 @@ impl Simulation {
                     .store(&key, bytes)
                     .expect("MemStorage store cannot fail");
                 self.trace.stores_applied += 1;
-                if slot.pending.is_empty() {
+                let core = slot.core.as_ref().expect("a live incarnation has a core");
+                if !core.is_busy() {
                     self.trace.background_stores += 1;
                 }
-                let attributed = attributed_op.filter(|&op| slot.is_pending(op));
-                if slot.automaton.is_none() {
-                    return;
-                }
-                self.feed(pid, Input::StoreDone(token), chain, attributed);
-                self.note_if_recovered(pid);
+                // (A store attributed to a since-completed operation bumps
+                // nothing: completed records keep their chain.)
+                self.feed(pid, NodeEvent::StoreDone(token), chain, attributed_op);
             }
-            EventKind::TimerFire {
-                pid,
-                token,
-                incarnation,
-                chain,
-            } => {
-                let slot = &self.procs[pid.index()];
-                if slot.incarnation != incarnation || slot.automaton.is_none() {
-                    return;
-                }
-                self.feed(pid, Input::Timer(token), chain, None);
-                self.note_if_recovered(pid);
-            }
-            EventKind::Invoke { pid, op, operation } => {
+            EventKind::Tick { pid, incarnation } => {
                 let slot = &mut self.procs[pid.index()];
-                if slot.automaton.is_none() {
-                    self.trace.invokes_dropped += 1;
-                    self.loop_op_lost(pid);
+                if slot.incarnation != incarnation {
                     return;
                 }
-                let reg = operation.register();
-                if slot.pending.contains_key(&reg) {
-                    // §III-A sequentiality, per register emulation (as in
-                    // the real runner): a register serves one operation at
-                    // a time, so its restriction of the history stays
-                    // well-formed; distinct registers overlap freely.
+                if slot.tick_at == Some(self.now) {
+                    slot.tick_at = None;
+                }
+                self.feed(pid, NodeEvent::Tick, 0, None);
+            }
+            EventKind::Invoke {
+                pid,
+                operation,
+                issuer,
+            } => {
+                if self.procs[pid.index()].core.is_none() {
                     self.trace.invokes_dropped += 1;
+                    if let Issuer::Loop(i) = issuer {
+                        self.loops[i].in_flight = false;
+                    }
                     return;
                 }
-                slot.pending.insert(reg, op);
-                self.trace.record_invoke(self.now, op, operation.clone());
-                self.feed(pid, Input::Invoke { op, operation }, 0, Some(op));
+                // The core queues a same-register invocation behind the
+                // register's operation (§III-A sequentiality per register
+                // emulation); its `Started` effect records the invocation.
+                let event = NodeEvent::Invoke {
+                    operation,
+                    host: issuer,
+                    trace: None,
+                };
+                self.feed(pid, event, 0, None);
             }
             EventKind::Crash { pid } => {
                 let slot = &mut self.procs[pid.index()];
-                if slot.automaton.is_none() {
+                let Some(mut core) = slot.core.take() else {
                     return;
-                }
-                slot.automaton = None;
+                };
                 slot.incarnation += 1;
-                slot.pending.clear(); // the ops are lost; their records stay pending
+                slot.tick_at = None;
                 slot.recovering_since = None;
+                // The admitted and queued invocations are lost (admitted
+                // ones stay pending in the trace); their loops resume at
+                // recovery.
+                core.halt(&mut self.effects);
+                for effect in self.effects.drain(..) {
+                    if let Effect::Reply {
+                        host: Issuer::Loop(i),
+                        ..
+                    } = effect
+                    {
+                        self.loops[i].in_flight = false;
+                    }
+                }
                 self.deferred_acks.retain(|(p, _), _| *p != pid);
+                self.round_chains.retain(|(p, _), _| *p != pid);
                 self.trace.record_crash(self.now, pid);
-                self.loop_op_lost(pid);
             }
             EventKind::Recover { pid } => {
-                if self.procs[pid.index()].automaton.is_some() {
+                let slot = &self.procs[pid.index()];
+                if slot.core.is_some() {
                     return;
                 }
-                let automaton = {
-                    let slot = &self.procs[pid.index()];
-                    let snapshot = SnapshotView::new(&slot.storage);
-                    self.factory
-                        .recover(pid, self.config.n, slot.incarnation as u64, &snapshot)
-                };
-                self.procs[pid.index()].automaton = Some(automaton);
-                self.procs[pid.index()].recovering_since = Some(self.now);
+                let snapshot = SnapshotView::new(&slot.storage);
+                let incarnation = u64::from(slot.incarnation);
+                let automaton = self
+                    .factory
+                    .recover(pid, self.config.n, incarnation, &snapshot);
+                let core = NodeCore::new(pid, automaton, incarnation, &self.obs);
+                let slot = &mut self.procs[pid.index()];
+                slot.core = Some(core);
+                slot.recovering_since = Some(self.now);
                 self.trace.record_recover(self.now, pid);
-                self.feed(pid, Input::Start, 0, None);
-                self.note_if_recovered(pid);
-                self.loop_resume(pid);
+                self.feed(pid, NodeEvent::Start, 0, None);
+                // Loops whose invocation the crash lost go on.
+                for i in 0..self.loops.len() {
+                    let lp = &self.loops[i];
+                    if lp.pid == pid && !lp.in_flight {
+                        self.loop_next(i, self.now.after(lp.think));
+                    }
+                }
             }
             EventKind::SetLink { from, to, blocked } => {
                 self.net.set_link(from, to, blocked);
@@ -439,105 +410,110 @@ impl Simulation {
         }
     }
 
-    /// Delivers `input` to `pid`'s automaton and executes the resulting
-    /// actions. `chain` is the causal-log count carried by the input;
-    /// `attributed` names the in-flight operation the input belongs to,
-    /// if any (with the per-register operation table, several operations
-    /// can be in flight — attribution is per register, not per process).
-    fn feed(&mut self, pid: ProcessId, input: Input, chain: u32, attributed: Option<OpId>) {
+    /// Hands `event` to `pid`'s node core and performs the resulting
+    /// effects. `chain` is the causal-log count carried by the event;
+    /// `attributed` names the admitted operation the event belongs to, if
+    /// any (several operations can be in flight — attribution is per
+    /// register, not per process).
+    fn feed(
+        &mut self,
+        pid: ProcessId,
+        event: NodeEvent<Issuer>,
+        chain: u32,
+        attributed: Option<OpId>,
+    ) {
         if let Some(op) = attributed {
             self.trace.bump_chain(op, chain);
         }
-        // If the input is a protocol request, note it so a deferred ack
+        // If the event is a protocol request, note it so a deferred ack
         // can be assigned its requester-relative chain (see field docs).
-        let request_id = match &input {
-            Input::Message { msg, .. } if msg.is_request() => Some(msg.request_id()),
+        let request_id = match &event {
+            NodeEvent::Message { msg, .. } if msg.is_request() => Some(msg.request_id()),
             _ => None,
         };
-        let mut out = Vec::new();
-        {
-            let slot = &mut self.procs[pid.index()];
-            let Some(automaton) = slot.automaton.as_mut() else {
-                return;
-            };
-            automaton.on_input(input, &mut out);
-        }
+        let now = Micros(self.now.as_micros());
+        let mut effects = std::mem::take(&mut self.effects);
+        let Some(core) = self.procs[pid.index()].core.as_mut() else {
+            return;
+        };
+        let next = core.handle(now, event, &mut effects);
         if let Some(req) = request_id {
-            let acked_now = out.iter().any(|a| {
-                matches!(a, Action::Send { msg, .. } if !msg.is_request() && msg.request_id() == req)
+            let acked_now = effects.iter().any(|e| {
+                matches!(e, Effect::Send { msg, .. } if !msg.is_request() && msg.request_id() == req)
             });
             if !acked_now {
                 self.deferred_acks.insert((pid, req), chain + 1);
             }
         }
-        for action in out {
-            self.apply_action(pid, action, chain, attributed);
+        let (mut chain, mut attributed) = (chain, attributed);
+        for effect in effects.drain(..) {
+            self.apply_effect(pid, effect, &mut chain, &mut attributed);
+        }
+        self.effects = effects;
+        self.note_if_recovered(pid);
+        if let Some(deadline) = next {
+            let at = VirtualTime(deadline.0);
+            let slot = &mut self.procs[pid.index()];
+            if slot.tick_at.is_none_or(|t| at < t) {
+                slot.tick_at = Some(at);
+                let incarnation = slot.incarnation;
+                self.queue.push(at, EventKind::Tick { pid, incarnation });
+            }
         }
     }
 
-    fn apply_action(
+    /// Performs one effect of an event that carried `chain` and belongs to
+    /// operation `attributed` (see [`crate::trace`]); a `Started` effect
+    /// switches both to the operation it opens.
+    fn apply_effect(
         &mut self,
         pid: ProcessId,
-        action: Action,
-        chain: u32,
-        attributed: Option<OpId>,
+        effect: Effect<Issuer>,
+        chain: &mut u32,
+        attributed: &mut Option<OpId>,
     ) {
-        match action {
-            Action::Send { to, msg } => {
+        match effect {
+            Effect::Send { to, msg, .. } => {
                 assert!(to.index() < self.config.n, "send to unknown process {to}");
                 self.trace.messages_sent += 1;
-                // Duplicated requests can make one round send several
-                // acks, so the recorded chain must outlive the first ack:
-                // look up without consuming (entries die with a crash of
-                // the process, and request ids are never reused).
+                // A request carries the chain of the event that first sent
+                // it (a timer's retransmission re-sends the round with the
+                // chain it started under); an ack carries its request's
+                // deferred chain. Duplicated requests can make one round
+                // send several acks, so that chain must outlive the first
+                // ack: look up without consuming (entries die with a crash
+                // of the process, and request ids are never reused).
+                let key = (pid, msg.request_id());
                 let chain = if msg.is_request() {
-                    chain
+                    *self.round_chains.entry(key).or_insert(*chain)
                 } else {
-                    self.deferred_acks
-                        .get(&(pid, msg.request_id()))
-                        .copied()
-                        .unwrap_or(chain)
+                    self.deferred_acks.get(&key).copied().unwrap_or(*chain)
                 };
                 let serialization =
                     Micros(self.sends_this_event as u64 * self.config.net.serialize_per_msg.0);
                 self.sends_this_event += 1;
                 let fate = self.net.fate(pid, to, msg.payload_len(), &mut self.rng);
+                let deliver = |msg| EventKind::Deliver {
+                    to,
+                    from: pid,
+                    msg,
+                    chain,
+                };
                 match fate {
                     Fate::Drop => {}
                     Fate::Deliver(d) => {
-                        self.queue.push(
-                            self.now.after(serialization + d),
-                            EventKind::Deliver {
-                                to,
-                                from: pid,
-                                msg,
-                                chain,
-                            },
-                        );
+                        self.queue
+                            .push(self.now.after(serialization + d), deliver(msg));
                     }
                     Fate::Duplicate(d1, d2) => {
-                        self.queue.push(
-                            self.now.after(serialization + d1),
-                            EventKind::Deliver {
-                                to,
-                                from: pid,
-                                msg: msg.clone(),
-                                chain,
-                            },
-                        );
-                        self.queue.push(
-                            self.now.after(serialization + d2),
-                            EventKind::Deliver {
-                                to,
-                                from: pid,
-                                msg,
-                                chain,
-                            },
-                        );
+                        let first = deliver(msg.clone());
+                        self.queue.push(self.now.after(serialization + d1), first);
+                        self.queue
+                            .push(self.now.after(serialization + d2), deliver(msg));
                     }
                 }
             }
-            Action::Store { token, key, bytes } => {
+            Effect::Store { token, key, bytes } => {
                 let disk = self.config.disk_of(pid.index()).clone();
                 let jitter = if disk.jitter.0 > 0 {
                     Micros(self.rng.gen_range(0..=disk.jitter.0))
@@ -570,7 +546,6 @@ impl Simulation {
                     slot.disk_busy_until = slot.disk_group_done;
                     slot.disk_group_done
                 };
-                let attributed_op = attributed;
                 let incarnation = slot.incarnation;
                 self.queue.push(
                     done_at,
@@ -580,78 +555,53 @@ impl Simulation {
                         key,
                         bytes,
                         incarnation,
-                        chain: chain + 1,
-                        attributed_op,
+                        chain: *chain + 1,
+                        attributed_op: *attributed,
                     },
                 );
             }
-            Action::SetTimer { token, after } => {
-                let slot = &self.procs[pid.index()];
-                self.queue.push(
-                    self.now.after(after),
-                    EventKind::TimerFire {
-                        pid,
-                        token,
-                        incarnation: slot.incarnation,
-                        chain,
-                    },
-                );
+            Effect::Started { op, operation } => {
+                // The effects that follow are the new operation's: an
+                // invocation starts with chain 0.
+                self.trace.record_invoke(self.now, op, operation);
+                (*chain, *attributed) = (0, Some(op));
             }
-            Action::Complete {
-                op, result, rounds, ..
+            Effect::Reply {
+                op: Some(op),
+                host,
+                result,
+                rounds,
+                ..
             } => {
-                let slot = &mut self.procs[pid.index()];
-                slot.pending.retain(|_, &mut p| p != op);
-                self.trace.bump_chain(op, chain);
+                self.trace.bump_chain(op, *chain);
                 self.trace.record_rounds(op, rounds);
                 self.trace.record_complete(self.now, op, result);
-                self.loop_advance(pid);
+                if let Issuer::Loop(i) = host {
+                    let at = self.now.after(self.loops[i].think);
+                    self.loop_next(i, at);
+                }
             }
+            // Only a halt replies before admission, and crashes take
+            // their halt's replies directly.
+            Effect::Reply { op: None, .. } => {}
         }
     }
 
-    // -- Closed-loop bookkeeping ----------------------------------------
-
-    fn loop_advance(&mut self, pid: ProcessId) {
-        let Some(idx) = self.loops.iter().position(|l| l.pid == pid && l.in_flight) else {
-            return;
-        };
-        self.loops[idx].in_flight = false;
-        let think = self.loops[idx].think;
-        if let Some(op) = self.loops[idx].remaining.pop_front() {
-            self.loops[idx].in_flight = true;
-            let op_id = self.fresh_op_id(pid);
+    /// Closed loop `i`'s previous invocation is over: issue its next
+    /// operation at `at`, if any remains.
+    fn loop_next(&mut self, i: usize, at: VirtualTime) {
+        let lp = &mut self.loops[i];
+        lp.in_flight = false;
+        if let Some(operation) = lp.remaining.pop_front() {
+            lp.in_flight = true;
+            let pid = lp.pid;
+            let issuer = Issuer::Loop(i);
             self.queue.push(
-                self.now.after(think),
+                at,
                 EventKind::Invoke {
                     pid,
-                    op: op_id,
-                    operation: op,
-                },
-            );
-        }
-    }
-
-    fn loop_op_lost(&mut self, pid: ProcessId) {
-        if let Some(l) = self.loops.iter_mut().find(|l| l.pid == pid && l.in_flight) {
-            l.in_flight = false;
-        }
-    }
-
-    fn loop_resume(&mut self, pid: ProcessId) {
-        let Some(idx) = self.loops.iter().position(|l| l.pid == pid && !l.in_flight) else {
-            return;
-        };
-        let think = self.loops[idx].think;
-        if let Some(op) = self.loops[idx].remaining.pop_front() {
-            self.loops[idx].in_flight = true;
-            let op_id = self.fresh_op_id(pid);
-            self.queue.push(
-                self.now.after(think),
-                EventKind::Invoke {
-                    pid,
-                    op: op_id,
-                    operation: op,
+                    operation,
+                    issuer,
                 },
             );
         }

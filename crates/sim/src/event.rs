@@ -1,10 +1,9 @@
 //! The event queue: a deterministic priority queue over virtual time.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use rmem_types::{Message, Op, OpId, ProcessId, StoreToken, TimerToken};
+use rmem_types::{Message, Op, OpId, ProcessId, StoreToken};
 
 use crate::time::VirtualTime;
 
@@ -44,25 +43,21 @@ pub enum EventKind {
         /// accounting (the issuer's pending op at issue time), if any.
         attributed_op: Option<OpId>,
     },
-    /// A timer set by `pid` fires.
-    TimerFire {
-        /// The process whose timer fires.
+    /// `pid`'s node core is due to fire its timers.
+    Tick {
+        /// The process whose timers fire.
         pid: ProcessId,
-        /// Correlation token for the automaton.
-        token: TimerToken,
         /// Issuing incarnation (timers die with their incarnation).
         incarnation: u32,
-        /// Causal-log chain at the time the timer was set.
-        chain: u32,
     },
     /// A client invokes an operation at `pid`.
     Invoke {
         /// Target process.
         pid: ProcessId,
-        /// Operation id.
-        op: OpId,
         /// The operation.
         operation: Op,
+        /// Who issued it (routes the completion back).
+        issuer: Issuer,
     },
     /// The adversary crashes `pid`.
     Crash {
@@ -86,6 +81,15 @@ pub enum EventKind {
     },
 }
 
+/// Who issued an invocation: the scripted schedule or a closed loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Issuer {
+    /// A [`PlannedEvent::Invoke`](crate::PlannedEvent::Invoke).
+    Script,
+    /// The closed loop with this index, in attachment order.
+    Loop(usize),
+}
+
 /// A scheduled event. Ordering is (time, sequence number): two events never
 /// compare equal, so execution order is total and deterministic.
 #[derive(Debug, Clone)]
@@ -98,33 +102,11 @@ pub struct Scheduled {
     pub kind: EventKind,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Deterministic event queue.
+/// Deterministic event queue: pending events ordered by (time, insertion
+/// sequence).
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
+    events: BTreeMap<(VirtualTime, u64), EventKind>,
     next_seq: u64,
 }
 
@@ -136,30 +118,30 @@ impl EventQueue {
 
     /// Schedules `kind` at `at`.
     pub fn push(&mut self, at: VirtualTime, kind: EventKind) {
-        let seq = self.next_seq;
+        self.events.insert((at, self.next_seq), kind);
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, kind });
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Scheduled> {
-        self.heap.pop()
+        let ((at, seq), kind) = self.events.pop_first()?;
+        Some(Scheduled { at, seq, kind })
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
-    /// Iterates over pending events in unspecified order (used for cheap
+    /// Iterates over the pending events' payloads (used for cheap
     /// quiescence checks).
-    pub fn iter(&self) -> impl Iterator<Item = &Scheduled> {
-        self.heap.iter()
+    pub fn iter(&self) -> impl Iterator<Item = &EventKind> {
+        self.events.values()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 }
 

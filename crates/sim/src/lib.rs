@@ -17,6 +17,18 @@
 //!   through the event graph (see [`trace`]), turning the paper's central
 //!   complexity metric into a measured quantity.
 //!
+//! # One node implementation, two hosts
+//!
+//! Each simulated process is an [`rmem_core::NodeCore`] — the same node
+//! implementation `rmem-net`'s runner hosts on real threads, with its
+//! per-register FIFO operation table, timer set and op-id counter. The
+//! engine is the core's virtual-time host: it hands each core its events
+//! with the virtual time, performs the effects (sends through the network
+//! model, stores through the disk model, replies to the issuing client),
+//! and ticks it at its next timer deadline. A crash drops the core; a
+//! recovery builds a new one from [`AutomatonFactory::recover`](rmem_types::AutomatonFactory::recover).
+//! Its observability handle is disabled, so the core reads no clock.
+//!
 //! The simulated network is *fair-lossy* (§II): it may drop or duplicate
 //! any message (configurably), but a message sent infinitely often to a
 //! correct process is delivered infinitely often — which holds because

@@ -96,7 +96,9 @@ pub struct Trace {
     /// outside operations ("this log is outside the actual read and write
     /// operations", §IV-B).
     pub background_stores: u64,
-    /// Invocations that arrived at a crashed process and were discarded.
+    /// Invocations that arrived at a crashed process and were discarded —
+    /// the only ones the engine drops: a same-register invocation at a
+    /// live process queues at its node core instead.
     pub invokes_dropped: u64,
     /// Crash events delivered.
     pub crashes: u64,

@@ -286,12 +286,13 @@ fn timers_die_with_their_incarnation() {
     );
 }
 
-/// The engine rejects overlapping invocations per process, keeping
-/// histories well-formed without involving the automaton.
+/// An invocation on a register with an operation in flight queues at the
+/// process's node core and starts when that operation completes, so the
+/// register's history stays well-formed without involving the automaton.
 #[test]
-fn overlapping_invocations_are_refused_by_the_engine() {
+fn overlapping_invocations_queue_behind_the_running_one() {
     use rmem_core::Persistent;
-    use rmem_types::{Op, Value};
+    use rmem_types::{Op, OpResult, Value};
     let schedule = Schedule::new()
         .at(
             1_000,
@@ -302,13 +303,50 @@ fn overlapping_invocations_are_refused_by_the_engine() {
     let mut sim =
         Simulation::new(ClusterConfig::new(3), Persistent::factory(), 3).with_schedule(schedule);
     let report = sim.run();
-    assert_eq!(
-        report.trace.operations().len(),
-        1,
-        "the overlapping read never started"
+    assert_eq!(report.trace.invokes_dropped, 0, "nothing was refused");
+    let ops = report.trace.operations();
+    assert_eq!(ops.len(), 2);
+    assert!(ops.iter().all(|o| o.is_completed()));
+    let (write, read) = (&ops[0], &ops[1]);
+    assert!(
+        matches!(write.operation, Op::Write(_)),
+        "FIFO: the write first"
     );
+    assert_eq!(
+        Some(read.invoked_at),
+        write.completed_at,
+        "the queued read starts as the write completes"
+    );
+    assert_eq!(read.result, Some(OpResult::ReadValue(Value::from_u32(1))));
+    let history = report.trace.to_history();
+    assert!(history.well_formed().is_ok());
+    for (reg, outcome) in
+        rmem_consistency::check_per_register(&history, rmem_consistency::Criterion::Persistent)
+    {
+        outcome.unwrap_or_else(|e| panic!("register {reg} not atomic: {e}"));
+    }
+}
+
+/// An invocation at a crashed process is the one the engine drops.
+#[test]
+fn invocations_at_crashed_processes_are_dropped() {
+    use rmem_core::Persistent;
+    use rmem_types::{Op, Value};
+    let schedule = Schedule::new()
+        .at(500, PlannedEvent::Crash(ProcessId(0)))
+        .at(
+            1_000,
+            PlannedEvent::Invoke(ProcessId(0), Op::Write(Value::from_u32(1))),
+        )
+        .at(1_000, PlannedEvent::Invoke(ProcessId(1), Op::Read));
+    let mut sim =
+        Simulation::new(ClusterConfig::new(3), Persistent::factory(), 3).with_schedule(schedule);
+    let report = sim.run();
     assert_eq!(report.trace.invokes_dropped, 1);
-    assert!(report.trace.to_history().well_formed().is_ok());
+    let ops = report.trace.operations();
+    assert_eq!(ops.len(), 1, "only the live process's read started");
+    assert_eq!(ops[0].op.pid, ProcessId(1));
+    assert!(ops[0].is_completed());
 }
 
 /// The per-register operation table: overlapping invocations on
@@ -354,19 +392,22 @@ fn overlapping_invocations_on_distinct_registers_all_complete() {
     }
 }
 
-/// Same-register overlap is still refused (per-register sequentiality).
+/// Same-register invocations queue in FIFO order (per-register
+/// sequentiality), and each starts when the one ahead of it completes.
 #[test]
-fn overlapping_invocations_on_the_same_register_are_refused() {
+fn overlapping_invocations_on_the_same_register_queue_in_fifo_order() {
     use rmem_core::{Persistent, SharedMemory};
-    use rmem_types::{Op, RegisterId, Value};
+    use rmem_types::{Op, OpResult, RegisterId, Value};
+    let reg = RegisterId(3);
     let schedule = Schedule::new()
         .at(
             1_000,
-            PlannedEvent::Invoke(ProcessId(0), Op::WriteAt(RegisterId(3), Value::from_u32(1))),
+            PlannedEvent::Invoke(ProcessId(0), Op::WriteAt(reg, Value::from_u32(1))),
         )
+        .at(1_100, PlannedEvent::Invoke(ProcessId(0), Op::ReadAt(reg)))
         .at(
-            1_100,
-            PlannedEvent::Invoke(ProcessId(0), Op::ReadAt(RegisterId(3))),
+            1_150,
+            PlannedEvent::Invoke(ProcessId(0), Op::WriteAt(reg, Value::from_u32(2))),
         );
     let mut sim = Simulation::new(
         ClusterConfig::new(3),
@@ -375,8 +416,84 @@ fn overlapping_invocations_on_the_same_register_are_refused() {
     )
     .with_schedule(schedule);
     let report = sim.run();
-    assert_eq!(report.trace.operations().len(), 1);
-    assert_eq!(report.trace.invokes_dropped, 1);
+    assert_eq!(report.trace.invokes_dropped, 0);
+    let ops = report.trace.operations();
+    assert_eq!(ops.len(), 3);
+    assert!(ops.iter().all(|o| o.is_completed()));
+    // Arrival order is start order, and no two overlap.
+    assert!(matches!(ops[0].operation, Op::WriteAt(_, ref v) if *v == Value::from_u32(1)));
+    assert!(matches!(ops[1].operation, Op::ReadAt(_)));
+    assert!(matches!(ops[2].operation, Op::WriteAt(_, ref v) if *v == Value::from_u32(2)));
+    for pair in ops.windows(2) {
+        assert_eq!(Some(pair[1].invoked_at), pair[0].completed_at);
+    }
+    assert_eq!(ops[1].result, Some(OpResult::ReadValue(Value::from_u32(1))));
+    let history = report.trace.to_history();
+    assert!(history.well_formed().is_ok());
+    for (reg, outcome) in
+        rmem_consistency::check_per_register(&history, rmem_consistency::Criterion::Persistent)
+    {
+        outcome.unwrap_or_else(|e| panic!("register {reg} not atomic: {e}"));
+    }
+}
+
+/// A completion advances only the closed loop that issued it: a scripted
+/// operation finishing on another register of the same process does not
+/// release the loop's next operation early.
+#[test]
+fn a_scripted_completion_does_not_advance_a_closed_loop() {
+    use rmem_core::{Persistent, SharedMemory};
+    use rmem_sim::workload::ClosedLoop;
+    use rmem_types::{Op, RegisterId, Value};
+    // The loop writes registers 0..4 back to back (≈800µs each); the
+    // scripted read of register 9 starts at 300µs and completes inside
+    // the loop's first write.
+    let loop_ops: Vec<_> = (0..4u16)
+        .map(|r| Op::WriteAt(RegisterId(r), Value::from_u32(u32::from(r) + 1)))
+        .collect();
+    let schedule = Schedule::new().at(
+        300,
+        PlannedEvent::Invoke(ProcessId(0), Op::ReadAt(RegisterId(9))),
+    );
+    let mut sim = Simulation::new(
+        ClusterConfig::new(3),
+        SharedMemory::factory(Persistent::flavor()),
+        7,
+    )
+    .with_schedule(schedule);
+    sim.add_closed_loop(ClosedLoop {
+        pid: ProcessId(0),
+        ops: loop_ops.clone(),
+        think: Micros(10),
+        start_after: Micros(10),
+    });
+    let report = sim.run();
+    let ops = report.trace.operations();
+    let scripted = ops
+        .iter()
+        .find(|o| o.operation == Op::ReadAt(RegisterId(9)))
+        .expect("the scripted read ran");
+    let looped: Vec<_> = ops
+        .iter()
+        .filter(|o| o.operation != Op::ReadAt(RegisterId(9)))
+        .collect();
+    assert!(scripted.is_completed());
+    assert!(
+        scripted.completed_at < looped[0].completed_at,
+        "the scripted read must finish inside the loop's first write"
+    );
+    assert_eq!(looped.len(), loop_ops.len(), "every loop op ran");
+    assert!(looped.iter().all(|o| o.is_completed()), "and completed");
+    for (op, expected) in looped.iter().zip(&loop_ops) {
+        assert_eq!(&op.operation, expected, "in the loop's order");
+    }
+    // Never two in flight: each starts one think time after the previous
+    // one completed.
+    for pair in looped.windows(2) {
+        let done = pair[0].completed_at.expect("completed");
+        assert_eq!(pair[1].invoked_at, done.after(Micros(10)));
+    }
+    assert_eq!(report.trace.invokes_dropped, 0);
 }
 
 /// An automaton probing the group-commit disk model: stores one record
